@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional
 
-from . import codegen, infoflow, interp, rules, syntax
+from . import codegen, interp, rules, syntax
 from .model import AppModel, Diagnostic, Severity, validate
 
 EXIT_CLEAN = 0
@@ -64,16 +64,20 @@ def emit_diagnostics(findings: list[Diagnostic], fmt: str, stream=None) -> None:
             print(text, file=stream)
 
 
-def _load_model(path: str, diags: list[Diagnostic]) -> Optional[AppModel]:
+def _load_model(path: str, fmt: str) -> Optional[AppModel]:
+    """The parsed model; None, with the reason printed, if there is none."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
         return None
+    except UnicodeDecodeError:
+        print(f"error: cannot read {path}: not valid UTF-8", file=sys.stderr)
+        return None
     outcome = syntax.parse(text, path)
     if not outcome.ok:
-        diags.extend(outcome.diagnostics)
+        emit_diagnostics(outcome.diagnostics, fmt)
         return None
     return outcome.model
 
@@ -86,12 +90,6 @@ def _result_code(findings: list[Diagnostic], fail_on_warnings: bool) -> int:
     return EXIT_CLEAN
 
 
-def _analyze_findings(model: AppModel) -> list[Diagnostic]:
-    findings = list(infoflow.flow_diagnostics(model))
-    findings.extend(rules.check_all(model).findings)
-    return findings
-
-
 def _per_file(args, handler) -> int:
     """Run handler(path) per input; worst exit code wins."""
     worst = EXIT_CLEAN
@@ -102,10 +100,8 @@ def _per_file(args, handler) -> int:
 
 def _cmd_check(args) -> int:
     def one(path):
-        diags: list[Diagnostic] = []
-        model = _load_model(path, diags)
+        model = _load_model(path, args.format)
         if model is None:
-            emit_diagnostics(diags, args.format)
             return EXIT_FAILURE
         diags = validate(model)
         emit_diagnostics(diags, args.format)
@@ -115,23 +111,18 @@ def _cmd_check(args) -> int:
 
 
 def _full_analysis(path: str, args) -> tuple[Optional[AppModel], list[Diagnostic], int]:
-    """parse + validate + infoflow + rules; model is None on parse failure."""
-    diags: list[Diagnostic] = []
-    model = _load_model(path, diags)
+    """Load the file and print its findings; model is None if it cannot be loaded."""
+    model = _load_model(path, args.format)
     if model is None:
-        return None, diags, EXIT_FAILURE
-    wf = validate(model)
-    if wf:
-        return model, wf, _result_code(wf, args.fail_on_warnings)
-    findings = _analyze_findings(model)
+        return None, [], EXIT_FAILURE
+    findings = rules.findings(model)
+    emit_diagnostics(findings, args.format)
     return model, findings, _result_code(findings, args.fail_on_warnings)
 
 
 def _cmd_analyze(args) -> int:
     def one(path):
-        _, findings, code = _full_analysis(path, args)
-        emit_diagnostics(findings, args.format)
-        return code
+        return _full_analysis(path, args)[2]
 
     return _per_file(args, one)
 
@@ -143,12 +134,14 @@ def _cmd_simulate(args) -> int:
     except (OSError, interp.ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
+    except UnicodeDecodeError:
+        print(f"error: cannot read {args.scenario}: not valid UTF-8", file=sys.stderr)
+        return EXIT_FAILURE
 
     def one(path):
         model, findings, code = _full_analysis(path, args)
-        emit_diagnostics(findings, args.format)
         if model is None or any(d.code.startswith("WF") for d in findings):
-            return max(code, EXIT_FAILURE if model is None else code)
+            return code
         budget = args.budget if args.budget else len(scenario.gestures) + 3
         trace = interp.run(model, scenario, step_budget=budget)
         for rule, config in trace.steps:
@@ -171,27 +164,25 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_generate(args) -> int:
     def one(path):
-        model, findings, code = _full_analysis(path, args)
-        emit_diagnostics(findings, args.format)
+        model = _load_model(path, args.format)
         if model is None:
             return EXIT_FAILURE
         try:
-            units, _ = codegen.generate_all(model)
-        except codegen.GenerationBlocked:
-            # the blocking findings were already printed by the analysis pass
+            units, findings = codegen.generate_all(model)
+        except codegen.GenerationBlocked as e:
+            emit_diagnostics(e.findings, args.format)
             return EXIT_FINDINGS
+        emit_diagnostics(findings, args.format)
         codegen.write_units(units, args.out)
-        return code
+        return _result_code(findings, args.fail_on_warnings)
 
     return _per_file(args, one)
 
 
 def _cmd_fmt(args) -> int:
     def one(path):
-        diags: list[Diagnostic] = []
-        model = _load_model(path, diags)
+        model = _load_model(path, args.format)
         if model is None:
-            emit_diagnostics(diags, args.format)
             return EXIT_FAILURE
         text = syntax.format_model(model)
         if args.write:

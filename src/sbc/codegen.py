@@ -4,9 +4,10 @@ Translates a verified storyboard into a target-neutral skeleton package:
 one controller unit per screen, one endpoint unit per custom resource, an
 operations stub with inferred signatures, and a dependency manifest.
 
-Generation is gated: it refuses to run while the model has information-flow
-violations or rule errors (warnings do not block).  Output is byte-identical
-across invocations for the same model.
+Generation is gated on `rules.findings`, the same pass the CLI reports: it
+refuses to run while the model has any error, whether a well-formedness
+error, an information-flow violation or a rule error (warnings do not
+block).  Output is byte-identical across invocations for the same model.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from . import infoflow, rules
+from . import rules
 from .model import (
     Access,
     AppModel,
@@ -25,13 +26,14 @@ from .model import (
     ParamRef,
     Resource,
     Screen,
+    Severity,
     WidgetKind,
     WidgetRef,
     boolean_position_ops,
     builtin_cap,
     iter_operation_uses,
 )
-from .syntax import _fmt_bool, _fmt_op, _fmt_value, _quote
+from .syntax import _fmt_bool, _fmt_value, _quote
 
 HOOK = "## HOOK"  # sentinel marking developer-completion points
 
@@ -86,8 +88,11 @@ class Manifest:
 
 
 class GenerationBlocked(Exception):
+    """Carries every finding of the model, the blocking errors among them."""
+
     def __init__(self, findings: list[Diagnostic]):
-        super().__init__(f"{len(findings)} blocking finding(s); fix them before generating code")
+        errors = sum(d.severity is Severity.ERROR for d in findings)
+        super().__init__(f"{errors} blocking finding(s); fix them before generating code")
         self.findings = findings
 
 
@@ -270,13 +275,11 @@ def build_manifest(model: AppModel) -> Manifest:
     )
 
 
-def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], Manifest]:
-    blocking = infoflow.flow_diagnostics(model)
-    blocking = [d for d in blocking if d.severity.value == "error"]
-    report = rules.check_all(model)
-    blocking += [f for f in report.findings if f.severity.value == "error"]
-    if blocking:
-        raise GenerationBlocked(blocking)
+def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], list[Diagnostic]]:
+    """The units and the model's (non-blocking) findings."""
+    findings = rules.findings(model)
+    if any(d.severity is Severity.ERROR for d in findings):
+        raise GenerationBlocked(findings)
 
     units = [GeneratedUnit("manifest.txt", build_manifest(model).render())]
     for s in model.screens:
@@ -284,7 +287,7 @@ def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], Manifest]:
     for r in model.resources:
         units.append(generate_resource_unit(model, r))
     units.append(_ops_stub(model))
-    return units, build_manifest(model)
+    return units, findings
 
 
 def write_units(units: list[GeneratedUnit], out_dir) -> None:

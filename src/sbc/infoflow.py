@@ -4,7 +4,8 @@ The analysis builds the direct `influences` relation between qualified
 identifiers, takes its reflexive-transitive closure, classifies untrusted
 sources and sinks against the builtin catalog, collects declassified
 (`safe`) edges, and reports integrity/confidentiality violations with a
-deterministic witness path for each.
+deterministic witness path for each.  `flow_diagnostics` builds the graph
+and the safe set once and passes them to every later step.
 
 Guards never contribute control edges: all transition constraints are assumed
 satisfiable, so only data positions induce flows.
@@ -25,10 +26,8 @@ from .model import (
     BOp,
     BOr,
     Diagnostic,
-    Literal,
     OperationUse,
     ParamRef,
-    ProxyScreen,
     QualifiedId,
     Severity,
     SourceSpan,
@@ -40,19 +39,6 @@ from .model import (
 )
 
 Edge = tuple[QualifiedId, QualifiedId]
-
-
-@dataclass(frozen=True)
-class InfluenceGraph:
-    nodes: frozenset[QualifiedId]
-    edges: frozenset[Edge]
-    edge_origin: dict[Edge, Optional[SourceSpan]] = field(default_factory=dict)
-
-    def out_edges(self, n: QualifiedId) -> list[Edge]:
-        return sorted((e for e in self.edges if e[0] == n), key=lambda e: str(e[1]))
-
-    def in_edges(self, n: QualifiedId) -> list[Edge]:
-        return sorted((e for e in self.edges if e[1] == n), key=lambda e: str(e[0]))
 
 
 @dataclass(frozen=True)
@@ -68,11 +54,6 @@ class TrustMap:
     untrusted_sources: frozenset[QualifiedId]
     untrusted_sinks: frozenset[QualifiedId]
     untrusted_reachable: frozenset[QualifiedId]
-
-
-@dataclass(frozen=True)
-class SafeSet:
-    edges: frozenset[Edge]
 
 
 class FlowKind(Enum):
@@ -97,6 +78,17 @@ class Role(Enum):
     WIDGET = "widget"
     OP = "op"
     PROXY_PARAM = "proxy-param"
+
+
+@dataclass(frozen=True)
+class InfluenceGraph:
+    roles: dict[QualifiedId, Role]  # every node, with its role
+    edges: frozenset[Edge]
+    edge_origin: dict[Edge, Optional[SourceSpan]] = field(default_factory=dict)
+
+    @property
+    def nodes(self):
+        return self.roles.keys()
 
 
 def node_roles(model: AppModel) -> dict[QualifiedId, Role]:
@@ -168,7 +160,7 @@ def build_influences(model: AppModel) -> InfluenceGraph:
             for b in t.bindings:
                 value_edges(b.value, s.name, qualify(b.target, t.dest), b.span or t.span)
 
-    return InfluenceGraph(frozenset(node_roles(model)), frozenset(edges), origin)
+    return InfluenceGraph(node_roles(model), frozenset(edges), origin)
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +179,6 @@ def closure(graph: InfluenceGraph) -> ClosureRelation:
             if k in reach[a]:
                 reach[a] |= reach[k]
     return ClosureRelation(frozenset((a, b) for a, bs in reach.items() for b in bs))
-
-
-def oracle_flows(model: AppModel) -> set[Edge]:
-    """All-pairs reachability by naive per-source breadth-first search.
-
-    Intentionally independent of closure(); used as its test oracle."""
-    graph = build_influences(model)
-    succ: dict[QualifiedId, list[QualifiedId]] = {}
-    for a, b in graph.edges:
-        succ.setdefault(a, []).append(b)
-    out: set[Edge] = set()
-    for src in graph.nodes:
-        frontier = [src]
-        seen = {src}
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for m in succ.get(n, ()):
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-            frontier = nxt
-        for dst in seen:
-            if dst != src:
-                out.add((src, dst))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +205,7 @@ def _op_sink_untrusted(model: AppModel, op: OperationUse) -> bool:
     return False
 
 
-def classify_endpoints(model: AppModel) -> TrustMap:
+def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
     sources: set[QualifiedId] = set()
     sinks: set[QualifiedId] = set()
 
@@ -259,7 +225,6 @@ def classify_endpoints(model: AppModel) -> TrustMap:
             for pn in p.uri.params:
                 sinks.add(qualify(pn, p.name))
 
-    graph = build_influences(model)
     cl = closure(graph)
     reachable = {b for a, b in cl.pairs if a in sources}
     return TrustMap(frozenset(sources), frozenset(sinks), frozenset(reachable | sources))
@@ -269,9 +234,14 @@ def classify_endpoints(model: AppModel) -> TrustMap:
 # Step 4: declassified edges
 
 
-def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[SafeSet, list[Diagnostic]]:
+def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge], list[Diagnostic]]:
     safe: set[Edge] = set()
     warnings: list[Diagnostic] = []
+    out_edges: dict[QualifiedId, list[Edge]] = {}
+    in_edges: dict[QualifiedId, list[Edge]] = {}
+    for e in graph.edges:
+        out_edges.setdefault(e[0], []).append(e)
+        in_edges.setdefault(e[1], []).append(e)
 
     def unused(what: str, span):
         warnings.append(
@@ -313,7 +283,7 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[SafeSet, list[
                 if src is not None and (src, wq) in graph.edges:
                     safe.add((src, wq))
                     touched = True
-                for e in graph.out_edges(wq):
+                for e in out_edges.get(wq, ()):
                     safe.add(e)
                     touched = True
                 if not touched:
@@ -334,13 +304,13 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[SafeSet, list[
         if p.safe or p.app_id is not None:
             touched = False
             for pn in p.uri.params:
-                for e in graph.in_edges(qualify(pn, p.name)):
+                for e in in_edges.get(qualify(pn, p.name), ()):
                     safe.add(e)
                     touched = True
             if p.safe and not touched:
                 unused(f"proxy '{p.name}'", p.span)
 
-    return SafeSet(frozenset(safe)), warnings
+    return frozenset(safe), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +336,17 @@ def _least_paths(start: QualifiedId, succ: dict[QualifiedId, list[QualifiedId]])
     return best
 
 
-def analyze(model: AppModel) -> list[FlowViolation]:
-    graph = build_influences(model)
-    trust = classify_endpoints(model)
-    safe, _ = collect_safe(model, graph)
-    roles = node_roles(model)
+def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> list[FlowViolation]:
+    trust = classify_endpoints(model, graph)
+    roles = graph.roles
 
-    unsafe = graph.edges - safe.edges
+    unsafe = graph.edges - safe
     succ: dict[QualifiedId, list[QualifiedId]] = {}
     for a, b in sorted(unsafe, key=lambda e: (str(e[0]), str(e[1]))):
         succ.setdefault(a, []).append(b)
 
-    paths = {s: _least_paths(s, succ) for s in trust.untrusted_sources}
+    # one table per node serves both searches; sources are nodes too
+    paths = {n: _least_paths(n, succ) for n in graph.nodes}
 
     found: dict[tuple[FlowKind, QualifiedId, QualifiedId], tuple[QualifiedId, ...]] = {}
 
@@ -401,12 +370,11 @@ def analyze(model: AppModel) -> list[FlowViolation]:
                 found[key] = w
 
     # Confidentiality: any value flowing unsafely into an untrusted sink.
-    all_paths = {n: _least_paths(n, succ) for n in graph.nodes}
     for k in sorted(trust.untrusted_sinks):
         for s in sorted(graph.nodes):
             if s == k:
                 continue
-            w = all_paths[s].get(k)
+            w = paths[s].get(k)
             if w is not None and len(w) >= 2:
                 found[(FlowKind.CONFIDENTIALITY, s, k)] = w
 
@@ -419,9 +387,9 @@ def analyze(model: AppModel) -> list[FlowViolation]:
 def flow_diagnostics(model: AppModel) -> list[Diagnostic]:
     """Violations and unused-safe warnings rendered as diagnostics."""
     graph = build_influences(model)
-    _, warnings = collect_safe(model, graph)
+    safe, warnings = collect_safe(model, graph)
     out: list[Diagnostic] = []
-    for v in analyze(model):
+    for v in analyze(model, graph, safe):
         code = "IF001" if v.kind is FlowKind.INTEGRITY else "IF002"
         last_edge = (v.witness[-2], v.witness[-1])
         span = graph.edge_origin.get(last_edge)

@@ -395,6 +395,3 @@ def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
         trace.error = str(e)
     return trace
 
-
-def taint_pairs(trace: Trace) -> set[tuple[QualifiedId, QualifiedId]]:
-    return set(trace.taint_pairs)

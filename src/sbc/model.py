@@ -641,14 +641,3 @@ def start_screen(model: AppModel) -> str:
         raise ValueError("storyboard has no screens")
     return model.screens[0].name
 
-
-def owner_screen(model: AppModel, ident: str) -> Optional[str]:
-    """Resolve an identifier to its owning screen or proxy, assuming a
-    validated model (per-screen namespaces make the answer unique)."""
-    for s in model.screens:
-        if ident in s.all_params or s.widget(ident) is not None:
-            return s.name
-    for p in model.proxies:
-        if ident in p.uri.params:
-            return p.name
-    return None

@@ -9,12 +9,16 @@ Codes:
   RC006 (warning) plaintext HTTP capability in use
 
 Pinning is on by default: absence of disableCertPin means pinned.
+
+`findings` is the one analysis pass every command shares: well-formedness,
+then information flow, then these rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import infoflow
 from .model import (
     Access,
     AppModel,
@@ -24,6 +28,7 @@ from .model import (
     WidgetKind,
     builtin_cap,
     iter_operation_uses,
+    validate,
 )
 
 
@@ -150,3 +155,11 @@ def check_all(model: AppModel) -> RuleReport:
     for check in _CHECKS:
         findings.extend(check(model))
     return RuleReport(tuple(findings), any(f.severity is Severity.ERROR for f in findings))
+
+
+def findings(model: AppModel) -> list[Diagnostic]:
+    """The WF errors if there are any, else the IF findings, then the RC ones."""
+    wf = validate(model)
+    if wf:
+        return wf
+    return infoflow.flow_diagnostics(model) + list(check_all(model).findings)

@@ -5,10 +5,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sbc import syntax
+from sbc import infoflow, syntax
 from sbc.model import validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Models that parse but fail validation; generation must refuse both.
+ILL_FORMED = {
+    "unknown-dest": 'app "a" screen S { Button B = "b"\n'
+                    "transition t order 1 dest Nowhere cond B.click }\n",
+    "duplicate-screen": 'app "a" screen S { }\nscreen S { }\n',
+}
 
 
 def load_fixture(name: str):
@@ -25,6 +32,39 @@ def parse_text(text: str):
     outcome = syntax.parse(text, "<test>")
     assert outcome.ok, [d.format_human() for d in outcome.diagnostics]
     return outcome.model
+
+
+def violations(model):
+    """infoflow.analyze over the model's own graph and safe set."""
+    graph = infoflow.build_influences(model)
+    safe, _ = infoflow.collect_safe(model, graph)
+    return infoflow.analyze(model, graph, safe)
+
+
+def oracle_flows(model):
+    """All-pairs reachability by naive per-source breadth-first search.
+
+    Intentionally independent of closure(); used as its test oracle."""
+    graph = infoflow.build_influences(model)
+    succ = {}
+    for a, b in graph.edges:
+        succ.setdefault(a, []).append(b)
+    out = set()
+    for src in graph.nodes:
+        frontier = [src]
+        seen = {src}
+        while frontier:
+            nxt = []
+            for n in frontier:
+                for m in succ.get(n, ()):
+                    if m not in seen:
+                        seen.add(m)
+                        nxt.append(m)
+            frontier = nxt
+        for dst in seen:
+            if dst != src:
+                out.add((src, dst))
+    return out
 
 
 @pytest.fixture

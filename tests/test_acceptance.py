@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, oracle_flows, violations
 
 from modelgen import gen_model, gen_scenario
 from sbc import cli, codegen, infoflow, interp, rules, syntax
@@ -62,25 +62,25 @@ def test_01_worked_example_parity():
                  ("y@Contacts", "dispMsg"), ("y@Contacts", "Status@SaveStatus"),
                  ("x@SaveStatus", "Status@SaveStatus")]:
         assert (q(a), q(b)) in cl
-    vs = infoflow.analyze(m)
+    vs = violations(m)
     assert [(v.kind.value, str(v.source), str(v.sink)) for v in vs] == [
         ("integrity", "y@Contacts", "Phone@Contacts"),
         ("integrity", "y@Contacts", "dispMsg"),
     ]
-    assert infoflow.analyze(load_fixture("messenger_safe.sbd")) == []
+    assert violations(load_fixture("messenger_safe.sbd")) == []
     assert time.perf_counter() - t0 < 1.0
 
 
 @verdict(2, "data-injection example: witness through the fragment address, fixed by a literal")
 def test_02_injection_example():
     t0 = time.perf_counter()
-    vs = infoflow.analyze(load_fixture("notes.sbd"))
+    vs = violations(load_fixture("notes.sbd"))
     assert vs and all(v.kind is infoflow.FlowKind.INTEGRITY for v in vs)
     witnesses = {tuple(str(n) for n in v.witness) for v in vs}
     assert any(
         w[:3] == ("token@Profile", "getFrag", "fragAddr@LoginFrag") for w in witnesses
     )
-    assert infoflow.analyze(load_fixture("notes_fixed.sbd")) == []
+    assert violations(load_fixture("notes_fixed.sbd")) == []
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -88,12 +88,12 @@ def test_02_injection_example():
 def test_03_leak_example():
     t0 = time.perf_counter()
     m = load_fixture("browser.sbd")
-    kinds = {(v.kind.value, str(v.sink)) for v in infoflow.analyze(m)}
+    kinds = {(v.kind.value, str(v.sink)) for v in violations(m)}
     assert ("confidentiality", "save") in kinds
     report = rules.check_all(m)
     assert any(f.code == "RC002" and f.severity is Severity.ERROR for f in report.findings)
     fixed = load_fixture("browser_fixed.sbd")
-    assert infoflow.analyze(fixed) == []
+    assert violations(fixed) == []
     assert not any(f.severity is Severity.ERROR for f in rules.check_all(fixed).findings)
     assert time.perf_counter() - t0 < 1.0
 
@@ -126,7 +126,7 @@ def test_05_closure_oracle():
         m = gen_model(seed)
         g = infoflow.build_influences(m)
         got = set(infoflow.closure(g).pairs)
-        want = infoflow.oracle_flows(m) | {(n, n) for n in g.nodes}
+        want = oracle_flows(m) | {(n, n) for n in g.nodes}
         assert got == want, f"seed {seed}"
     assert time.perf_counter() - t0 < 30.0
 
@@ -197,13 +197,13 @@ def test_09_category_corpus():
     }
     for name, method in expected.items():
         m = load_fixture(f"categories/{name}.sbd")
-        has_if = bool(infoflow.analyze(m))
+        has_if = bool(violations(m))
         has_rc = bool(rules.check_all(m).findings)
         got = {"IF": has_if and not has_rc, "RC": has_rc and not has_if,
                "IF&RC": has_if and has_rc}
         assert got[method], f"{name}: if={has_if} rc={has_rc}, want {method}"
         fixed = load_fixture(f"categories/{name}_fixed.sbd")
-        assert not infoflow.analyze(fixed), name
+        assert not violations(fixed), name
         assert not rules.check_all(fixed).findings, name
     assert time.perf_counter() - t0 < 5.0
 

@@ -3,9 +3,9 @@
 import json
 
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, ILL_FORMED
 
-from sbc import cli, infoflow, rules, syntax
+from sbc import cli, codegen, infoflow, interp, model, rules, syntax
 from sbc.model import validate
 
 
@@ -112,6 +112,13 @@ class TestSimulate:
         assert any("SaveStatus" in ln for ln in lines)
         assert code == 1  # analysis findings still reported
 
+    def test_scenario_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "bad.scn"
+        p.write_bytes(b"click Save\n\xff\n")
+        code, out, err = run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", str(p))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {p}: not valid UTF-8\n"
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", fixture("messenger.sbd"), "--scenario", str(tmp_path / "no.scn")
@@ -133,6 +140,15 @@ class TestGenerate:
         out_dir = tmp_path / "out"
         code, _, _ = run(capsys, "generate", fixture("browser.sbd"), "--out", str(out_dir))
         assert code == 1 and not out_dir.exists()
+
+    @pytest.mark.parametrize("case", sorted(ILL_FORMED))
+    def test_ill_formed_model_writes_nothing(self, capsys, tmp_path, case):
+        p = tmp_path / "m.sbd"
+        p.write_text(ILL_FORMED[case])
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "generate", str(p), "--out", str(out_dir))
+        assert code == 1 and " WF" in out
+        assert not out_dir.exists()
 
     def test_clean_model_writes_layout(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -179,8 +195,49 @@ class TestCheck:
         code, out, _ = run(capsys, "check", fixture("messenger.sbd"))
         assert code == 0 and out == ""
 
+    def test_not_utf8_two(self, capsys, tmp_path):
+        p = tmp_path / "bad.sbd"
+        p.write_bytes(b'app "a" screen S { }\n\xff\n')
+        code, out, err = run(capsys, "check", str(p))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {p}: not valid UTF-8\n"
+
     def test_wf_error_reported(self, capsys, tmp_path):
         p = tmp_path / "dup.sbd"
         p.write_text('app "a" screen S { }\nscreen S { }\n')
         code, out, _ = run(capsys, "check", str(p))
         assert code == 1 and "WF" in out
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the calls of each analysis stage, wherever the package binds it."""
+    stages = [(infoflow, "build_influences"), (infoflow, "collect_safe"), (infoflow, "closure"),
+              (rules, "check_all"), (model, "validate")]
+    modules = (cli, codegen, infoflow, interp, model, rules, syntax)
+    counts = {}
+    for home, name in stages:
+        original = getattr(home, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+class TestOnePass:
+    ONCE = {"build_influences": 1, "collect_safe": 1, "closure": 1, "check_all": 1, "validate": 1}
+
+    def test_generate_runs_each_stage_once(self, capsys, tmp_path, calls):
+        code, _, _ = run(capsys, "generate", fixture("messenger_safe.sbd"), "-o", str(tmp_path / "out"))
+        assert code == 0 and calls == self.ONCE
+
+    def test_analyze_runs_each_stage_once(self, capsys, calls):
+        code, _, _ = run(capsys, "analyze", fixture("messenger.sbd"))
+        assert code == 1 and calls == self.ONCE

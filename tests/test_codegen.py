@@ -1,7 +1,7 @@
 """Skeleton generation: inference, gating, determinism, coverage."""
 
 import pytest
-from conftest import load_fixture, parse_text
+from conftest import ILL_FORMED, load_fixture, parse_text
 
 from sbc import codegen
 from sbc.codegen import BodyKind, ValueType
@@ -87,13 +87,20 @@ class TestGenerateAll:
             codegen.generate_all(browser)
         assert any(d.code == "RC002" for d in exc.value.findings)
 
+    @pytest.mark.parametrize("case", sorted(ILL_FORMED))
+    def test_refuses_ill_formed_model(self, case):
+        with pytest.raises(codegen.GenerationBlocked) as exc:
+            codegen.generate_all(parse_text(ILL_FORMED[case]))
+        assert any(d.code.startswith("WF") for d in exc.value.findings)
+
     def test_succeeds_after_fixes(self):
-        units, manifest = codegen.generate_all(load_fixture("browser_fixed.sbd"))
+        m = load_fixture("browser_fixed.sbd")
+        units, _ = codegen.generate_all(m)
         assert {u.path for u in units} == {
             "manifest.txt", "screens/Home.ctrl", "screens/Display.ctrl",
             "screens/DisplayFile.ctrl", "ops.stub",
         }
-        assert manifest.dependencies == ("EXT_STORE", "HTTPS")
+        assert codegen.build_manifest(m).dependencies == ("EXT_STORE", "HTTPS")
 
     def test_warnings_do_not_block(self):
         units, _ = codegen.generate_all(load_fixture("rules/rc003_pos.sbd"))
@@ -117,7 +124,7 @@ class TestGenerateAll:
             assert f"fun {name}(" in blob
 
     def test_manifest_lists_uris_and_deps(self, messenger_safe):
-        _, manifest = codegen.generate_all(messenger_safe)
+        manifest = codegen.build_manifest(messenger_safe)
         assert manifest.dependencies == ("INT_STORE",)
         assert "app://contacts/{y}" in manifest.exported_uris
 

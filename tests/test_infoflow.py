@@ -1,6 +1,6 @@
 """Information-flow analysis: influences, closure, classification, violations."""
 
-from conftest import load_fixture, parse_text
+from conftest import load_fixture, oracle_flows, parse_text, violations
 
 from sbc import infoflow
 from sbc.model import OPERATION, qualify
@@ -69,31 +69,31 @@ class TestClosure:
             m = gen_model(seed)
             g = infoflow.build_influences(m)
             cl = infoflow.closure(g)
-            oracle = infoflow.oracle_flows(m) | {(n, n) for n in g.nodes}
+            oracle = oracle_flows(m) | {(n, n) for n in g.nodes}
             assert set(cl.pairs) == oracle, f"seed {seed}"
 
 
 class TestClassify:
     def test_uri_param_is_untrusted_source(self, messenger):
-        tm = infoflow.classify_endpoints(messenger)
+        tm = infoflow.classify_endpoints(messenger, infoflow.build_influences(messenger))
         assert q("y@Contacts") in tm.untrusted_sources
 
     def test_ext_store_write_is_sink(self, browser):
-        tm = infoflow.classify_endpoints(browser)
+        tm = infoflow.classify_endpoints(browser, infoflow.build_influences(browser))
         assert q("save") in tm.untrusted_sinks
 
     def test_literals_and_int_store_all_trusted(self):
         m = parse_text('app "a" screen S { TextView T = f("x") use INT_STORE.read }')
-        tm = infoflow.classify_endpoints(m)
+        tm = infoflow.classify_endpoints(m, infoflow.build_influences(m))
         assert not tm.untrusted_sources and not tm.untrusted_sinks
 
     def test_foreign_resource_untrusted_both_ways(self):
         m = parse_text('app "a" screen S { TextView T = f() use OTHER.cap }')
-        tm = infoflow.classify_endpoints(m)
+        tm = infoflow.classify_endpoints(m, infoflow.build_influences(m))
         assert q("f") in tm.untrusted_sources and q("f") in tm.untrusted_sinks
 
     def test_app_attributed_proxy_params_not_sinks(self, messenger):
-        tm = infoflow.classify_endpoints(messenger)
+        tm = infoflow.classify_endpoints(messenger, infoflow.build_influences(messenger))
         assert q("z@PhoneApp") not in tm.untrusted_sinks
 
     def test_anonymous_proxy_params_are_sinks(self):
@@ -102,10 +102,10 @@ class TestClassify:
             'transition t order 1 dest P cond B.click { param z = B } }\n'
             'proxy P uri "ext://x/{z}"'
         )
-        assert q("z@P") in infoflow.classify_endpoints(m).untrusted_sinks
+        assert q("z@P") in infoflow.classify_endpoints(m, infoflow.build_influences(m)).untrusted_sinks
 
     def test_sources_subset_of_reachable(self, messenger):
-        tm = infoflow.classify_endpoints(messenger)
+        tm = infoflow.classify_endpoints(messenger, infoflow.build_influences(messenger))
         assert tm.untrusted_sources <= tm.untrusted_reachable
 
 
@@ -113,7 +113,7 @@ class TestCollectSafe:
     def test_safe_widget_declassifies_in_edge(self, messenger_safe):
         g = infoflow.build_influences(messenger_safe)
         safe, _ = infoflow.collect_safe(messenger_safe, g)
-        assert (q("y@Contacts"), q("Phone@Contacts")) in safe.edges
+        assert (q("y@Contacts"), q("Phone@Contacts")) in safe
 
     def test_safe_widget_declassifies_out_edges_too(self):
         m = parse_text(
@@ -121,13 +121,13 @@ class TestCollectSafe:
         )
         g = infoflow.build_influences(m)
         safe, _ = infoflow.collect_safe(m, g)
-        assert (q("p@S"), q("W@S")) in safe.edges
-        assert (q("W@S"), q("f")) in safe.edges
+        assert (q("p@S"), q("W@S")) in safe
+        assert (q("W@S"), q("f")) in safe
 
     def test_no_marks_empty_set(self, messenger):
         safe, warnings = infoflow.collect_safe(messenger, infoflow.build_influences(messenger))
         # the app-attributed proxy contributes its inbound edge
-        assert safe.edges == {(q("Phone@Contacts"), q("z@PhoneApp"))}
+        assert safe == {(q("Phone@Contacts"), q("z@PhoneApp"))}
         assert warnings == []
 
     def test_unused_safe_warns(self):
@@ -138,12 +138,12 @@ class TestCollectSafe:
     def test_safe_argument(self):
         m = parse_text('app "a" screen S { param p\nTextView T = f(safe p) }')
         safe, _ = infoflow.collect_safe(m, infoflow.build_influences(m))
-        assert (q("p@S"), q("f")) in safe.edges
+        assert (q("p@S"), q("f")) in safe
 
 
 class TestAnalyze:
     def test_messenger_two_integrity_sites(self, messenger):
-        vs = infoflow.analyze(messenger)
+        vs = violations(messenger)
         assert [(v.kind.value, str(v.source), str(v.sink)) for v in vs] == [
             ("integrity", "y@Contacts", "Phone@Contacts"),
             ("integrity", "y@Contacts", "dispMsg"),
@@ -154,50 +154,50 @@ class TestAnalyze:
         ]
 
     def test_messenger_safe_mark_clears_all(self, messenger_safe):
-        assert infoflow.analyze(messenger_safe) == []
+        assert violations(messenger_safe) == []
 
     def test_notes_injection_and_fix(self):
-        vs = infoflow.analyze(load_fixture("notes.sbd"))
+        vs = violations(load_fixture("notes.sbd"))
         sinks = {str(v.sink) for v in vs}
         assert sinks == {"getFrag", "isFragHome", "isFragProfile"}
         token_path = next(v for v in vs if str(v.sink) == "isFragHome")
         assert [str(n) for n in token_path.witness] == [
             "token@Profile", "getFrag", "fragAddr@LoginFrag", "isFragHome",
         ]
-        assert infoflow.analyze(load_fixture("notes_fixed.sbd")) == []
+        assert violations(load_fixture("notes_fixed.sbd")) == []
 
     def test_browser_leak_and_fix(self, browser):
-        vs = infoflow.analyze(browser)
+        vs = violations(browser)
         kinds = {(v.kind.value, str(v.source), str(v.sink)) for v in vs}
         assert ("confidentiality", "Url@Home", "save") in kinds
         assert ("integrity", "show", "DispArea@DisplayFile") in kinds
-        assert infoflow.analyze(load_fixture("browser_fixed.sbd")) == []
+        assert violations(load_fixture("browser_fixed.sbd")) == []
 
     def test_witness_edges_are_direct_and_unsafe(self, messenger):
         g = infoflow.build_influences(messenger)
         safe, _ = infoflow.collect_safe(messenger, g)
-        for v in infoflow.analyze(messenger):
+        for v in violations(messenger):
             for a, b in zip(v.witness, v.witness[1:]):
-                assert (a, b) in g.edges and (a, b) not in safe.edges
+                assert (a, b) in g.edges and (a, b) not in safe
 
     def test_deterministic(self, messenger):
-        assert infoflow.analyze(messenger) == infoflow.analyze(messenger)
+        assert violations(messenger) == violations(messenger)
 
     def test_self_influence_never_a_violation(self):
         m = parse_text('app "a" screen S { TextView T = f() use EXT_STORE.read }')
-        assert all(v.source != v.sink for v in infoflow.analyze(m))
+        assert all(v.source != v.sink for v in violations(m))
 
     def test_violating_pairs_within_reachability(self):
         for seed in range(50):
             m = gen_model(seed)
-            flows = infoflow.oracle_flows(m)
-            for v in infoflow.analyze(m):
+            flows = oracle_flows(m)
+            for v in violations(m):
                 assert (v.source, v.sink) in flows, f"seed {seed}"
 
     def test_safe_mark_monotone(self):
         # adding a safe mark never introduces a violation
-        before = {(v.kind, v.source, v.sink) for v in infoflow.analyze(load_fixture("browser.sbd"))}
-        after = {(v.kind, v.source, v.sink) for v in infoflow.analyze(load_fixture("browser_fixed.sbd"))}
+        before = {(v.kind, v.source, v.sink) for v in violations(load_fixture("browser.sbd"))}
+        after = {(v.kind, v.source, v.sink) for v in violations(load_fixture("browser_fixed.sbd"))}
         assert after <= before
 
     def test_guards_do_not_add_edges(self):
