@@ -1,11 +1,12 @@
 """Static information-flow analysis over storyboards.
 
 The analysis builds the direct `influences` relation between qualified
-identifiers, takes its reflexive-transitive closure, classifies untrusted
-sources and sinks against the builtin catalog, collects declassified
+identifiers, classifies untrusted sources and sinks against the builtin
+catalog, finds what the sources reach by graph search, collects declassified
 (`safe`) edges, and reports integrity/confidentiality violations with a
 deterministic witness path for each.  `flow_diagnostics` builds the graph
-and the safe set once and passes them to every later step.
+and the safe set once and passes them to every later step.  The analysis
+never builds the reflexive-transitive `closure`, which stays for callers.
 
 Guards never contribute control edges: all transition constraints are assumed
 satisfiable, so only data positions induce flows.
@@ -13,7 +14,6 @@ satisfiable, so only data positions induce flows.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -164,21 +164,33 @@ def build_influences(model: AppModel) -> InfluenceGraph:
 
 
 # ---------------------------------------------------------------------------
-# Step 2: reflexive-transitive closure (Warshall; the test oracle recomputes
-# reachability by independent per-source search)
+# Step 2: reachability by search (the test oracle recomputes it independently)
+
+
+def _successors(edges) -> dict[QualifiedId, list[QualifiedId]]:
+    """Successor lists over `edges`, each in node-name order."""
+    succ: dict[QualifiedId, list[QualifiedId]] = {}
+    for a, b in sorted(edges, key=lambda e: (str(e[0]), str(e[1]))):
+        succ.setdefault(a, []).append(b)
+    return succ
+
+
+def _reach(starts, succ: dict[QualifiedId, list[QualifiedId]]) -> set[QualifiedId]:
+    """Every node reachable from `starts` over `succ`, the starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for m in succ.get(stack.pop(), ()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 def closure(graph: InfluenceGraph) -> ClosureRelation:
-    nodes = sorted(graph.nodes)
-    reach: dict[QualifiedId, set[QualifiedId]] = {n: {n} for n in nodes}
-    for a, b in graph.edges:
-        reach.setdefault(a, {a}).add(b)
-        reach.setdefault(b, {b})
-    for k in reach:
-        for a in reach:
-            if k in reach[a]:
-                reach[a] |= reach[k]
-    return ClosureRelation(frozenset((a, b) for a, bs in reach.items() for b in bs))
+    succ = _successors(graph.edges)
+    nodes = set(graph.nodes).union(*graph.edges)
+    return ClosureRelation(frozenset((a, b) for a in nodes for b in _reach((a,), succ)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +237,8 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
             for pn in p.uri.params:
                 sinks.add(qualify(pn, p.name))
 
-    cl = closure(graph)
-    reachable = {b for a, b in cl.pairs if a in sources}
-    return TrustMap(frozenset(sources), frozenset(sinks), frozenset(reachable | sources))
+    reachable = _reach(sources, _successors(graph.edges))
+    return TrustMap(frozenset(sources), frozenset(sinks), frozenset(reachable))
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +330,17 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
 
 def _least_paths(start: QualifiedId, succ: dict[QualifiedId, list[QualifiedId]]):
     """Lexicographically least (by length, then node names) path from start to
-    every reachable node, over the unsafe edge set.  Dijkstra with a composite
-    key: extending a path only ever increases the key."""
-    best: dict[QualifiedId, tuple[QualifiedId, ...]] = {}
-    heap = [((1, (str(start),)), (start,))]
-    while heap:
-        (_, _), path = heapq.heappop(heap)
-        node = path[-1]
-        if node in best:
-            continue
-        best[node] = path
+    every reachable node.  A breadth-first search over name-ordered successors
+    dequeues each level in least-path order, so it meets each node first along
+    its least path."""
+    best = {start: (start,)}
+    queue = [start]
+    for node in queue:  # appending while iterating makes the list a FIFO queue
+        path = best[node]
         for m in succ.get(node, ()):
             if m not in best:
-                p2 = path + (m,)
-                heapq.heappush(heap, ((len(p2), tuple(str(n) for n in p2)), p2))
+                best[m] = path + (m,)
+                queue.append(m)
     return best
 
 
@@ -341,39 +349,31 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
     roles = graph.roles
 
     unsafe = graph.edges - safe
-    succ: dict[QualifiedId, list[QualifiedId]] = {}
-    for a, b in sorted(unsafe, key=lambda e: (str(e[0]), str(e[1]))):
-        succ.setdefault(a, []).append(b)
+    succ = _successors(unsafe)
 
-    # one table per node serves both searches; sources are nodes too
-    paths = {n: _least_paths(n, succ) for n in graph.nodes}
+    # Only untrusted sources (integrity) and declared nodes with an unsafe path
+    # into an untrusted sink (confidentiality) can start a witness.
+    leaks = _reach(trust.untrusted_sinks, _successors((b, a) for a, b in unsafe)) & graph.nodes
+    paths = {n: _least_paths(n, succ) for n in trust.untrusted_sources | leaks}
 
     found: dict[tuple[FlowKind, QualifiedId, QualifiedId], tuple[QualifiedId, ...]] = {}
 
     # Integrity: a widget or operation consumes, along an unsafe direct edge,
     # a value attributable to an untrusted source.
-    for u, k in sorted(unsafe, key=lambda e: (str(e[1]), str(e[0]))):
-        if roles.get(k) not in (Role.WIDGET, Role.OP):
-            continue
-        if roles.get(u) is Role.PARAM and u in trust.untrusted_reachable:
-            pass
-        elif roles.get(u) is Role.OP and u in trust.untrusted_sources:
-            pass
-        else:
-            continue
-        for s in sorted(trust.untrusted_sources):
+    tainted = {u for u in trust.untrusted_reachable if roles.get(u) is Role.PARAM}
+    tainted |= {u for u in trust.untrusted_sources if roles.get(u) is Role.OP}
+    consumers = {k for u, k in unsafe if u in tainted and roles.get(k) in (Role.WIDGET, Role.OP)}
+    sources = sorted(trust.untrusted_sources)
+    for k in sorted(consumers, key=str):
+        for s in sources:
             w = paths[s].get(k)
-            if w is None or len(w) < 2:
-                continue
-            key = (FlowKind.INTEGRITY, s, k)
-            if key not in found or (len(w), tuple(map(str, w))) < (len(found[key]), tuple(map(str, found[key]))):
-                found[key] = w
+            if w is not None and len(w) >= 2:
+                found[(FlowKind.INTEGRITY, s, k)] = w
 
     # Confidentiality: any value flowing unsafely into an untrusted sink.
+    leakers = sorted(leaks)
     for k in sorted(trust.untrusted_sinks):
-        for s in sorted(graph.nodes):
-            if s == k:
-                continue
+        for s in leakers:
             w = paths[s].get(k)
             if w is not None and len(w) >= 2:
                 found[(FlowKind.CONFIDENTIALITY, s, k)] = w

@@ -96,6 +96,13 @@ class ParseOutcome:
         return self.model is not None
 
 
+# ASCII only: str.isdigit and str.isalnum also accept non-ASCII characters
+# such as '²', which int() rejects.
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_IDENT_CHARS = _IDENT_START | _DIGITS | {"-"}
+
+
 def _lex(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     toks: list[Token] = []
     diags: list[Diagnostic] = []
@@ -147,17 +154,17 @@ def _lex(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
             col += j - i + 1
             i = j + 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("INT", text[i:j], span(j - i)))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             toks.append(Token("IDENT", text[i:j], span(j - i)))
             col += j - i

@@ -1,3 +1,4 @@
+import heapq
 import sys
 from pathlib import Path
 
@@ -65,6 +66,28 @@ def oracle_flows(model):
             if dst != src:
                 out.add((src, dst))
     return out
+
+
+def oracle_least_paths(start, succ):
+    """Lexicographically least (by length, then node names) path from start to
+    every reachable node, over the unsafe edge set.  Dijkstra with a composite
+    key: extending a path only ever increases the key.
+
+    Independent of infoflow._least_paths, a breadth-first search; used as
+    its test oracle."""
+    best = {}
+    heap = [((1, (str(start),)), (start,))]
+    while heap:
+        (_, _), path = heapq.heappop(heap)
+        node = path[-1]
+        if node in best:
+            continue
+        best[node] = path
+        for m in succ.get(node, ()):
+            if m not in best:
+                p2 = path + (m,)
+                heapq.heappush(heap, ((len(p2), tuple(str(n) for n in p2)), p2))
+    return best
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Information-flow analysis: influences, closure, classification, violations."""
 
-from conftest import load_fixture, oracle_flows, parse_text, violations
+from conftest import FIXTURES, load_fixture, oracle_flows, oracle_least_paths, parse_text, violations
 
 from sbc import infoflow
 from sbc.model import OPERATION, qualify
@@ -107,6 +107,14 @@ class TestClassify:
     def test_sources_subset_of_reachable(self, messenger):
         tm = infoflow.classify_endpoints(messenger, infoflow.build_influences(messenger))
         assert tm.untrusted_sources <= tm.untrusted_reachable
+
+    def test_reachable_matches_reachability_oracle(self):
+        for seed in range(1000):
+            m = gen_model(seed)
+            tm = infoflow.classify_endpoints(m, infoflow.build_influences(m))
+            want = set(tm.untrusted_sources)
+            want |= {b for a, b in oracle_flows(m) if a in tm.untrusted_sources}
+            assert tm.untrusted_reachable == want, f"seed {seed}"
 
 
 class TestCollectSafe:
@@ -216,3 +224,43 @@ class TestDiagnostics:
     def test_confidentiality_code(self, browser):
         codes = {d.code for d in infoflow.flow_diagnostics(browser)}
         assert "IF002" in codes
+
+
+def _unsafe_graph(model):
+    graph = infoflow.build_influences(model)
+    safe, _ = infoflow.collect_safe(model, graph)
+    return graph.nodes, graph.edges - safe
+
+
+class TestLeastPaths:
+    """The breadth-first witness search against the Dijkstra oracle."""
+
+    def assert_matches_oracle(self, nodes, edges, label):
+        succ = infoflow._successors(edges)
+        oracle_succ = {}
+        for a, b in edges:  # built apart from _successors, in the given order
+            oracle_succ.setdefault(a, []).append(b)
+        for n in nodes:
+            assert infoflow._least_paths(n, succ) == oracle_least_paths(n, oracle_succ), f"{label}: {n}"
+
+    def test_fixtures(self):
+        paths = sorted(FIXTURES.glob("**/*.sbd"))
+        assert len(paths) > 30
+        for path in paths:
+            nodes, edges = _unsafe_graph(load_fixture(str(path.relative_to(FIXTURES))))
+            self.assert_matches_oracle(nodes, edges, path.name)
+
+    def test_random_models(self):
+        for seed in range(300):
+            nodes, edges = _unsafe_graph(gen_model(seed))
+            self.assert_matches_oracle(nodes, edges, f"seed {seed}")
+
+    def test_tie_broken_at_first_hop_not_by_insertion(self):
+        # Two length-4 paths a-b-z-t and a-c-d-t split at the first hop, where
+        # b < c decides although d < z; edges are listed against name order.
+        edges = [(q("a"), q("c")), (q("c"), q("d")), (q("d"), q("t")),
+                 (q("a"), q("b")), (q("b"), q("z")), (q("z"), q("t"))]
+        paths = infoflow._least_paths(q("a"), infoflow._successors(edges))
+        assert paths[q("t")] == (q("a"), q("b"), q("z"), q("t"))
+        assert paths[q("d")] == (q("a"), q("c"), q("d"))
+        self.assert_matches_oracle([q(n) for n in "abcdzt"], edges, "hand-built")
