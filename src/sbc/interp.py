@@ -155,6 +155,9 @@ class ScenarioState:
         self.scenario = scenario
         self.gesture_index = 0
         self.op_ordinal: dict[str, int] = {}
+        self.results_by_name: dict[str, list] = {}  # scripted results, in order
+        for name, res in scenario.op_results:
+            self.results_by_name.setdefault(name, []).append(res)
         self.steps_taken = 0
         self.uri_env = dict(scenario.uri_env)
 
@@ -170,13 +173,8 @@ class ScenarioState:
         """Next scripted result for an operation, with its 1-based ordinal."""
         ordinal = self.op_ordinal.get(name, 0) + 1
         self.op_ordinal[name] = ordinal
-        seen = 0
-        for n, res in self.scenario.op_results:
-            if n == name:
-                seen += 1
-                if seen == ordinal:
-                    return ordinal, res
-        return ordinal, None
+        results = self.results_by_name.get(name, ())
+        return ordinal, results[ordinal - 1] if ordinal <= len(results) else None
 
 
 @dataclass

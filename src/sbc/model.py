@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 # Distinguished owner for operation names: operations are globally scoped,
@@ -283,23 +284,19 @@ class AppModel:
     start: Optional[str] = None  # explicit `start` marker, if any
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
+    @cached_property
+    def _by_name(self) -> tuple[dict, dict, dict]:
+        # screens, proxies and resources by name; the first declaration wins
+        return tuple({d.name: d for d in reversed(decls)} for decls in (self.screens, self.proxies, self.resources))
+
     def screen(self, name: str) -> Optional[Screen]:
-        for s in self.screens:
-            if s.name == name:
-                return s
-        return None
+        return self._by_name[0].get(name)
 
     def proxy(self, name: str) -> Optional[ProxyScreen]:
-        for p in self.proxies:
-            if p.name == name:
-                return p
-        return None
+        return self._by_name[1].get(name)
 
     def resource(self, name: str) -> Optional[Resource]:
-        for r in self.resources:
-            if r.name == name:
-                return r
-        return None
+        return self._by_name[2].get(name)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ URI parameters are embraced trailing segments: "app://contacts/{y}".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
 from .model import (
     Access,
@@ -73,11 +74,12 @@ ATTR_ALIASES = {"trusted-patterns": "trust-patterns"}
 WIDGET_ATTRS = ("trust-patterns", "allowJS")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT STRING INT PUNCT EOF
-    text: str
-    span: SourceSpan
+    text: str  # a STRING's text is unescaped and unquoted
+    line: int
+    column: int
+    length: int  # characters of source, quotes and escapes included
 
 
 class ParseError(Exception):
@@ -96,137 +98,126 @@ class ParseOutcome:
         return self.model is not None
 
 
-# ASCII only: str.isdigit and str.isalnum also accept non-ASCII characters
-# such as '²', which int() rejects.
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CHARS = _IDENT_START | _DIGITS | {"-"}
+# One match per token, after any blanks.  The group that matched says what
+# it is; the first three are tokens whose text is their source.  Classes are
+# ASCII only: int() rejects digits such as '²'.  In a string only \" and \\
+# are escapes and any other backslash is literal; a lone backslash may not
+# precede " or \, so backtracking cannot end a string at an escaped quote.
+# A blank is never unexpected, or the blank prefix could give one back to
+# group 8 at the end of the input.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+      ([A-Za-z_][A-Za-z0-9_-]*)                    # 1 IDENT
+    | ([{}()\[\]=,.])                              # 2 PUNCT
+    | ([0-9]+)                                     # 3 INT
+    | (\n)                                         # 4
+    | ("(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*) (")?    # 5 string, 6 its closing quote
+    | (\#[^\n]*)                                   # 7 comment
+    | ([^ \t\r\n])                                 # 8 unexpected character
+    )""",
+    re.VERBOSE,
+)
+_SIMPLE_KINDS = (None, "IDENT", "PUNCT", "INT")
+_ESCAPE = re.compile(r'\\(["\\])')
+_new = tuple.__new__  # _new(Token, fields) skips NamedTuple's slower Python __new__
 
 
 def _lex(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     toks: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def span(length, l=None, c=None):
-        return SourceSpan(file, l if l is not None else line, c if c is not None else col, length)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, last_nl = 1, -1  # a column is the offset past the last newline
+    for m in _TOKEN.finditer(text):
+        g = m.lastindex
+        if g <= 3:
+            word = m.group(g)
+            toks.append(_new(Token, (_SIMPLE_KINDS[g], word, line, m.start(g) - last_nl, len(word))))
+        elif g == 4:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            l0, c0 = line, col
-            j = i + 1
-            buf = []
-            closed = False
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                buf.append(c)
-                j += 1
-            if not closed:
-                diags.append(Diagnostic(Severity.ERROR, "PAR001", "unterminated string literal", span(j - i, l0, c0)))
-                i = j
-                col = c0 + (j - i)
-                continue
-            toks.append(Token("STRING", "".join(buf), span(j - i + 1, l0, c0)))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Token("INT", text[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            toks.append(Token("IDENT", text[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch in "{}()[]=,.":
-            toks.append(Token("PUNCT", ch, span(1)))
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic(Severity.ERROR, "PAR001", f"unexpected character {ch!r}", span(1)))
-        i += 1
-        col += 1
-    toks.append(Token("EOF", "", SourceSpan(file, line, col, 0)))
+            last_nl = m.end() - 1
+        elif g == 6:
+            raw = m.group(5)
+            body = _ESCAPE.sub(r"\1", raw[1:]) if "\\" in raw else raw[1:]
+            toks.append(_new(Token, ("STRING", body, line, m.start(5) - last_nl, len(raw) + 1)))
+        elif g == 5:
+            span = SourceSpan(file, line, m.start(5) - last_nl, len(m.group(5)))
+            diags.append(Diagnostic(Severity.ERROR, "PAR001", "unterminated string literal", span))
+        elif g == 8:
+            span = SourceSpan(file, line, m.start(8) - last_nl, 1)
+            diags.append(Diagnostic(Severity.ERROR, "PAR001", f"unexpected character {m.group(8)!r}", span))
+    toks.append(Token("EOF", "", line, len(text) - last_nl, 0))
     return toks, diags
 
 
+# An expression (a guard, or a widget's or binding's value) may hold at most
+# this many `not`, `and`, `or`, parentheses and operation calls.
+MAX_EXPRESSION_NODES = 100
+
+_WORDS = ("IDENT", "PUNCT")  # the kinds whose text at() and eat() match
 _SYNC = {"screen", "proxy", "resource", "transition", "param", "start", "app"}
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, toks: list[Token], file: str):
+        self.toks = toks + toks[-1:]  # a second EOF, so peek(1) stays in bounds
+        self.file = file
         self.pos = 0
         self.diags: list[Diagnostic] = []
+        self.nodes = 0  # operators and calls in the expression being parsed
 
     # -- token plumbing -----------------------------------------------------
 
+    def span(self, t: Token) -> SourceSpan:
+        return SourceSpan(self.file, t.line, t.column, t.length)
+
     def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "EOF":
             self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind in ("IDENT", "PUNCT") and t.text == text
+        t = self.toks[self.pos]
+        return t.text == text and t.kind in _WORDS
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        t = self.toks[self.pos]
+        if t.text == text and t.kind in _WORDS:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.next()
+        t = self.toks[self.pos]
+        if self.eat(text):
+            return t
         raise self.fail(f"expected '{text}'")
 
     def expect_kind(self, kind: str, what: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == kind:
-            return self.next()
+            self.pos += 1
+            return t
         raise self.fail(f"expected {what}")
 
-    def fail(self, msg: str) -> ParseError:
+    def fail(self, msg: str, code: str = "PAR002") -> ParseError:
         t = self.peek()
         got = repr(t.text) if t.kind != "EOF" else "end of input"
-        return ParseError(Diagnostic(Severity.ERROR, "PAR002", f"{msg}, found {got}", t.span))
+        return ParseError(Diagnostic(Severity.ERROR, code, f"{msg}, found {got}", self.span(t)))
+
+    def expression(self, parse):
+        # a guard, or a widget's or binding's value: its node count starts over
+        self.nodes = 0
+        return parse()
+
+    def count_node(self):
+        # Bounds the parser's recursion and the depth of the tree that every
+        # walker recurses over, and/or chains included.
+        self.nodes += 1
+        if self.nodes > MAX_EXPRESSION_NODES:
+            raise self.fail(f"expected at most {MAX_EXPRESSION_NODES} operators and calls in one expression", "PAR004")
 
     def recover(self, stops=_SYNC):
         # skip to the next item boundary so later errors can still surface
@@ -273,7 +264,7 @@ class _Parser:
                 self.recover()
         if start is None and screens:
             start = screens[0].name  # canonical: the default start is explicit
-        return AppModel(app_id, tuple(screens), tuple(proxies), tuple(resources), start, first.span)
+        return AppModel(app_id, tuple(screens), tuple(proxies), tuple(resources), start, self.span(first))
 
     def resource(self) -> Resource:
         t0 = self.expect("resource")
@@ -281,7 +272,7 @@ class _Parser:
         self.expect("access")
         acc = self.expect_kind("IDENT", "access level")
         if acc.text not in ACCESS:
-            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown access level '{acc.text}'", acc.span))
+            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown access level '{acc.text}'", self.span(acc)))
         self.expect("{")
         caps: list[Capability] = []
         while not self.eat("}"):
@@ -291,7 +282,7 @@ class _Parser:
             self.expect("capability")
             cn = self.expect_kind("IDENT", "capability name").text
             caps.append(Capability(cn, priv))
-        return Resource(name, ACCESS[acc.text], tuple(caps), t0.span)
+        return Resource(name, ACCESS[acc.text], tuple(caps), self.span(t0))
 
     def proxy(self) -> ProxyScreen:
         t0 = self.expect("proxy")
@@ -302,7 +293,7 @@ class _Parser:
             app_id = self.expect_kind("STRING", "app id string").text
         self.expect("uri")
         uri = parse_uri(self.expect_kind("STRING", "uri string").text)
-        return ProxyScreen(name, uri, app_id, safe, t0.span)
+        return ProxyScreen(name, uri, app_id, safe, self.span(t0))
 
     def screen(self) -> Screen:
         t0 = self.expect("screen")
@@ -328,16 +319,16 @@ class _Parser:
                 self.diags.append(e.diag)
                 self.next()
                 self.recover()
-        return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), t0.span)
+        return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(t0))
 
     def widget(self) -> Widget:
         safe = self.eat("safe")
         kt = self.expect_kind("IDENT", "widget kind")
         if kt.text not in KINDS:
-            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown widget kind '{kt.text}'", kt.span))
+            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown widget kind '{kt.text}'", self.span(kt)))
         wid = self.expect_kind("IDENT", "widget id").text
         self.expect("=")
-        value = self.value()
+        value = self.expression(self.value)
         attrs = self.attrs() if self.at("[") else ()
         # an attribute group after an opcall value binds to the opcall; lift
         # widget-level keys back onto the widget itself
@@ -347,7 +338,7 @@ class _Parser:
                 kept = tuple((k, v) for k, v in value.attributes if k not in WIDGET_ATTRS)
                 value = OperationUse(value.name, value.capability, value.args, kept, value.span)
                 attrs = lifted + attrs
-        return Widget(KINDS[kt.text], wid, value, safe, attrs, kt.span)
+        return Widget(KINDS[kt.text], wid, value, safe, attrs, self.span(kt))
 
     def value(self) -> ValueBinding:
         t = self.peek()
@@ -364,6 +355,7 @@ class _Parser:
         raise self.fail("expected a value")
 
     def opcall(self) -> OperationUse:
+        self.count_node()
         name_tok = self.expect_kind("IDENT", "operation name")
         self.expect("(")
         args: list[Arg] = []
@@ -381,7 +373,7 @@ class _Parser:
             cn = self.expect_kind("IDENT", "capability name").text
             capability = (rn, cn)
         attrs = self.attrs() if self.at("[") else ()
-        return OperationUse(name_tok.text, capability, tuple(args), attrs, name_tok.span)
+        return OperationUse(name_tok.text, capability, tuple(args), attrs, self.span(name_tok))
 
     def attrs(self) -> tuple[tuple[str, object], ...]:
         self.expect("[")
@@ -429,12 +421,12 @@ class _Parser:
                 self.expect(".")
                 g = self.expect_kind("IDENT", "gesture")
                 if g.text not in GESTURES:
-                    raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown gesture '{g.text}'", g.span))
+                    raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown gesture '{g.text}'", self.span(g)))
                 ua = (t.text, GESTURES[g.text])
                 if self.eat("and"):
-                    guard = self.bexpr()
+                    guard = self.expression(self.bexpr)
             else:
-                guard = self.bexpr()
+                guard = self.expression(self.bexpr)
         bindings: list[ParamBinding] = []
         if self.eat("{"):
             while not self.eat("}"):
@@ -444,23 +436,27 @@ class _Parser:
                 target = self.expect_kind("IDENT", "parameter name").text
                 self.expect("=")
                 safe = self.eat("safe")
-                bindings.append(ParamBinding(target, safe, self.value(), p0.span))
-        return Transition(tid, order, dest, ua, guard, tuple(bindings), t0.span)
+                bindings.append(ParamBinding(target, safe, self.expression(self.value), self.span(p0)))
+        return Transition(tid, order, dest, ua, guard, tuple(bindings), self.span(t0))
 
     def bexpr(self) -> BoolExpr:
         left = self.bterm()
         while True:
             if self.eat("and"):
-                left = BAnd(left, self.bterm())
+                op = BAnd
             elif self.eat("or"):
-                left = BOr(left, self.bterm())
+                op = BOr
             else:
                 return left
+            self.count_node()
+            left = op(left, self.bterm())
 
     def bterm(self) -> BoolExpr:
         if self.eat("not"):
+            self.count_node()
             return BNot(self.bterm())
         if self.eat("("):
+            self.count_node()
             e = self.bexpr()
             self.expect(")")
             return e
@@ -522,7 +518,7 @@ def _resolve_refs(model: AppModel) -> AppModel:
 
 def parse(text: str, file: str = "<input>") -> ParseOutcome:
     toks, diags = _lex(text, file)
-    parser = _Parser(toks)
+    parser = _Parser(toks, file)
     model = parser.storyboard()
     diags.extend(parser.diags)
     if diags or model is None:

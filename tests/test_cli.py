@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, output formats, file handling."""
 
 import json
+import random
 
 import pytest
 from conftest import FIXTURES, ILL_FORMED
@@ -256,3 +257,96 @@ class TestOnePass:
     def test_analyze_runs_each_stage_once(self, capsys, calls):
         code, _, _ = run(capsys, "analyze", fixture("messenger.sbd"))
         assert code == 1 and calls == self.ONCE
+
+
+def deep_model(n):
+    """A well-formed model whose widget value, binding values and three
+    guards each hold n operators and calls (n even)."""
+    calls = "f(" * n + "p" + ")" * n
+    return (
+        f'app "deep"\nscreen S {{\n  param p\n  Button B = "b"\n  TextView T = {calls}\n'
+        f'  transition t1 order 1 dest S cond B.click and {"not " * (n - 1)}g(p) {{\n    param p = {calls}\n  }}\n'
+        f'  transition t2 order 2 dest S cond not {" and ".join(["g(p)"] * (n // 2))} {{\n    param p = p\n  }}\n'
+        f'  transition t3 order 3 dest S cond {"(" * (n - 1)}g(p){")" * (n - 1)} {{\n    param p = p\n  }}\n}}\n'
+    )
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("guard", [
+        "not " * 3000 + "g()",
+        " and ".join(["g()"] * 2000),
+        "(" * 3000 + "g()" + ")" * 3000,
+    ], ids=["3000-nots", "2000-ands", "3000-parentheses"])
+    def test_deep_guard_is_par004(self, capsys, tmp_path, guard):
+        p = tmp_path / "deep.sbd"
+        p.write_text(f'app "a" screen S {{ Button B = "b"\ntransition t order 1 dest S cond {guard} }}\n')
+        code, out, err = run(capsys, "check", str(p))
+        assert code == 2 and err == ""
+        assert [ln.split()[1] for ln in out.splitlines()] == ["PAR004"]
+
+    def test_deep_call_arguments_are_par004(self, capsys, tmp_path):
+        p = tmp_path / "deep.sbd"
+        p.write_text('app "a" screen S { TextView T = ' + "f(" * 2000 + '"x"' + ")" * 2000 + " }\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert code == 2 and err == ""
+        assert [ln.split()[1] for ln in out.splitlines()] == ["PAR004"]
+
+    def test_model_at_the_limit_passes_every_command(self, capsys, tmp_path):
+        p = tmp_path / "limit.sbd"
+        p.write_text(deep_model(syntax.MAX_EXPRESSION_NODES))
+        scn = tmp_path / "run.scn"
+        scn.write_text("launch\nclick B\nclick B\n")
+        assert run(capsys, "check", str(p)) == (0, "", "")
+        assert run(capsys, "analyze", str(p)) == (0, "", "")
+        code, out, _ = run(capsys, "fmt", str(p))
+        assert code == 0 and syntax.parse(out, "fmt").model == syntax.parse(p.read_text(), "limit").model
+        assert run(capsys, "generate", str(p), "-o", str(tmp_path / "out"))[0] == 0
+        assert (tmp_path / "out" / "screens" / "S.ctrl").is_file()
+        code, out, _ = run(capsys, "simulate", str(p), "--scenario", str(scn))
+        assert code == 0 and out.startswith("init: S")
+
+
+class TestFuzz:
+    """Malformed input of any kind gets a diagnostic and exit 2, never a traceback."""
+
+    WORDS = ["app", "screen", "start", "proxy", "resource", "access", "own", "capability", "param", "transition",
+             "order", "dest", "cond", "and", "or", "not", "true", "false", "safe", "use", "uri", "Button",
+             "TextView", "WebView", "click", "S", "f", "a-b", "12", "12ab", "{", "}", "(", ")", "[", "]", "=", ",",
+             ".", '"s"', '"a\\"b"', '"\\', '"', "\\", "#c", "\n", "\r\n", "\t", "²", "é", '"é²"', "-", "@"]
+    SEPARATORS = [" ", "", "\n"]
+
+    def check(self, capsys, path):
+        code, out, err = run(capsys, "check", str(path))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert " PAR0" in out or err.startswith("error: cannot read")
+        elif code == 1:
+            assert " WF0" in out
+
+    def test_token_soup(self, capsys, tmp_path):
+        rng = random.Random(1)
+        p = tmp_path / "soup.sbd"
+        for _ in range(300):
+            words = [rng.choice(self.WORDS) + rng.choice(self.SEPARATORS) for _ in range(rng.randint(0, 60))]
+            p.write_text(rng.choice(['app "a" screen S { ', ""]) + "".join(words), encoding="utf-8")
+            self.check(capsys, p)
+
+    def test_corpus_mutations(self, capsys, tmp_path):
+        rng = random.Random(2)
+        corpus = [f.read_text() for f in sorted(FIXTURES.rglob("*.sbd"))]
+        p = tmp_path / "mutant.sbd"
+        for _ in range(300):
+            text = rng.choice(corpus)
+            for _ in range(rng.randint(1, 4)):
+                i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+                text = rng.choice([text[:i] + text[j:], text[:i] + rng.choice(self.WORDS) + text[i:],
+                                   text[:i] + "not " * rng.randint(1, 3000) + text[i:]])
+            p.write_text(text, encoding="utf-8")
+            self.check(capsys, p)
+
+    def test_random_bytes(self, capsys, tmp_path):
+        rng = random.Random(3)
+        p = tmp_path / "noise.sbd"
+        for _ in range(200):
+            p.write_bytes(bytes(rng.randrange(256) for _ in range(rng.randint(0, 200))))
+            self.check(capsys, p)

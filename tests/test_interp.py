@@ -66,6 +66,13 @@ class TestInit:
         assert interp.init_app(m, Scenario()).current == "Only"
 
 
+class TestScenarioState:
+    def test_results_consumed_per_name_in_order(self):
+        state = ScenarioState(Scenario(op_results=(("f", "a"), ("g", True), ("f", "b"), ("g", False))))
+        taken = [state.next_result(n) for n in ("f", "g", "g", "f", "f", "h", "g")]
+        assert taken == [(1, "a"), (1, True), (2, False), (2, "b"), (3, None), (1, None), (3, None)]
+
+
 class TestStep:
     def test_save_click_reaches_save_status(self, messenger):
         state = ScenarioState(scn("messenger_uri.scn"))

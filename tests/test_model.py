@@ -133,6 +133,16 @@ class TestLookups:
     def test_start_screen_default_order(self, messenger):
         assert start_screen(messenger) == "Messenger"
 
+    def test_first_declaration_wins(self):
+        m = parse_text(
+            'app "a" resource R access own { capability c }\nresource R access all { capability d }\n'
+            'screen S { param x } screen S { } screen T { }\n'
+            'proxy P uri "p://a/{z}" proxy P app "b" uri "p://b/{z}"'
+        )
+        assert m.screen("S") is m.screens[0] and m.screen("T") is m.screens[2]
+        assert m.proxy("P") is m.proxies[0] and m.resource("R") is m.resources[0]
+        assert m.screen("P") is None and m.proxy("S") is None and m.resource("nope") is None
+
     def test_start_marker_overrides(self):
         m = parse_text('app "a" screen S { } start screen T { }')
         assert start_screen(m) == "T"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from conftest import FIXTURES, parse_text
+from modelgen import gen_model
 
 from sbc import syntax
 from sbc.model import Gesture, Literal, OperationUse, ParamRef, WidgetKind
@@ -127,3 +128,89 @@ class TestFormat:
     def test_start_marker_preserved_when_not_first(self):
         m = parse_text('app "a" screen S { } start screen T { }')
         assert "start screen T" in syntax.format_model(m)
+
+
+def lex(text):
+    toks, diags = syntax._lex(text, "t")
+    return ([(t.kind, t.text, t.line, t.column, t.length) for t in toks],
+            [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags])
+
+
+class TestLex:
+    # (kind, text, line, column, length); a STRING's text is unescaped and
+    # its length counts the quotes and the escapes
+    @pytest.mark.parametrize("text, tokens, diags", [
+        (r'"a\"" x', [("STRING", 'a"', 1, 1, 5), ("IDENT", "x", 1, 7, 1), ("EOF", "", 1, 8, 0)], []),
+        (r'"a\\" "\q"', [("STRING", "a\\", 1, 1, 5), ("STRING", r"\q", 1, 7, 4), ("EOF", "", 1, 11, 0)], []),
+        ('"ab\\', [("EOF", "", 1, 5, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
+        ('x \\', [("IDENT", "x", 1, 1, 1), ("EOF", "", 1, 4, 0)], [("PAR001", "unexpected character '\\\\'", 1, 3, 1)]),
+        ('"a\\"\nb', [("IDENT", "b", 2, 1, 1), ("EOF", "", 2, 2, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
+        ("a\r\n b\r\n", [("IDENT", "a", 1, 1, 1), ("IDENT", "b", 2, 2, 1), ("EOF", "", 3, 1, 0)], []),
+        ("12ab 7", [("INT", "12", 1, 1, 2), ("IDENT", "ab", 1, 3, 2), ("INT", "7", 1, 6, 1), ("EOF", "", 1, 7, 0)], []),
+        ("trust-patterns a-b- -c", [("IDENT", "trust-patterns", 1, 1, 14), ("IDENT", "a-b-", 1, 16, 4),
+                                    ("IDENT", "c", 1, 22, 1), ("EOF", "", 1, 23, 0)],
+         [("PAR001", "unexpected character '-'", 1, 21, 1)]),
+        ('"é²" é ²', [("STRING", "é²", 1, 1, 4), ("EOF", "", 1, 9, 0)],
+         [("PAR001", "unexpected character 'é'", 1, 6, 1), ("PAR001", "unexpected character '²'", 1, 8, 1)]),
+        ("a # c", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 6, 0)], []),
+        ("a \t ", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 5, 0)], []),
+        ("{}()[]=,.", [("PUNCT", c, 1, i, 1) for i, c in enumerate("{}()[]=,.", 1)] + [("EOF", "", 1, 10, 0)], []),
+    ], ids=["escaped-quote-last", "escaped-backslash-last", "backslash-at-eof", "backslash-outside-string",
+            "escaped-quote-at-newline", "crlf", "int-then-ident", "dash-in-ident", "non-ascii", "comment-at-eof",
+            "blanks-at-eof", "punctuation"])
+    def test_golden(self, text, tokens, diags):
+        assert lex(text) == (tokens, diags)
+
+
+class TestEofColumn:
+    def test_after_trailing_comment(self):
+        out = syntax.parse('app "x"\nscreen S {  # open', "t")
+        d = out.diagnostics[-1]
+        assert (d.code, d.span.line, d.span.column) == ("PAR002", 2, 19)
+        assert d.message.endswith("found end of input")
+
+    def test_after_unterminated_string(self):
+        out = syntax.parse('app "x"\nscreen S { TextView T = "abc', "t")
+        assert [(d.code, d.span.line, d.span.column, d.span.length) for d in out.diagnostics] == [
+            ("PAR001", 2, 25, 4), ("PAR002", 2, 29, 0), ("PAR002", 2, 29, 0)]
+        assert out.diagnostics[1].message == "expected a value, found end of input"
+
+
+def guard_model(guard):
+    return f'app "a" screen S {{ Button B = "b"\ntransition t order 1 dest S cond {guard} }}\n'
+
+
+LIMIT = syntax.MAX_EXPRESSION_NODES
+
+
+class TestExpressionLimit:
+    # shape -> a model whose one expression holds n operators and calls
+    SHAPES = {
+        "not": lambda n: guard_model("not " * (n - 1) + "g()"),
+        "parentheses": lambda n: guard_model("(" * (n - 1) + "g()" + ")" * (n - 1)),
+        "and-chain": lambda n: guard_model("not " * (1 - n % 2) + " and ".join(["g()"] * ((n + 1) // 2))),
+        "nested-calls": lambda n: 'app "a" screen S { TextView T = ' + "f(" * n + '"x"' + ")" * n + " }\n",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_at_limit_parses(self, shape):
+        assert syntax.parse(self.SHAPES[shape](LIMIT), "t").ok
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_over_limit_is_par004(self, shape):
+        out = syntax.parse(self.SHAPES[shape](LIMIT + 1), "t")
+        assert [d.code for d in out.diagnostics] == ["PAR004"]
+        assert f"at most {LIMIT} operators and calls in one expression" in out.diagnostics[0].message
+
+    def test_each_expression_counts_alone(self):
+        text = guard_model(" and ".join(["g()"] * (LIMIT // 2)) + " { param p = " + "f(" * LIMIT + "p" + ")" * LIMIT + " }")
+        assert syntax.parse(text.replace("Button B", "param p Button B"), "t").ok
+
+
+class TestRandomModels:
+    def test_format_parse_format_fixed_point(self):
+        for seed in range(1000):
+            once = syntax.format_model(gen_model(seed))
+            out = syntax.parse(once, "gen")
+            assert out.ok, (seed, [d.format_human() for d in out.diagnostics])
+            assert syntax.format_model(out.model) == once, seed
