@@ -21,17 +21,16 @@ from .model import (
     Access,
     AppModel,
     Diagnostic,
-    Literal,
     OperationUse,
     ParamRef,
     Resource,
     Screen,
     Severity,
     WidgetKind,
-    WidgetRef,
     boolean_position_ops,
     builtin_cap,
     iter_operation_uses,
+    sites,
 )
 from .syntax import _fmt_bool, _fmt_value, _quote
 
@@ -100,26 +99,20 @@ class GenerationBlocked(Exception):
 # Signature inference
 
 
-def _text_displayed_params(model: AppModel) -> set[tuple[str, str]]:
-    """(screen, param) pairs whose value ends up in a text-displaying widget."""
-    out = set()
-    for s in model.screens:
-        for w in s.widgets:
-            if w.kind in _TEXT_WIDGETS and isinstance(w.value, ParamRef):
-                out.add((s.name, w.value.name))
-    return out
-
-
 def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
     bool_ops = boolean_position_ops(model)
-    displayed = _text_displayed_params(model)
 
-    # first pass: which ops feed a text-displaying widget or a displayed param
+    # first pass: which ops and (screen, param) pairs a text-displaying widget
+    # shows, then which ops are bound to a displayed param
     text_ops: set[str] = set()
+    displayed: set[tuple[str, str]] = set()
     for s in model.screens:
         for w in s.widgets:
             if w.kind in _TEXT_WIDGETS and isinstance(w.value, OperationUse):
                 text_ops.add(w.value.name)
+            elif w.kind in _TEXT_WIDGETS and isinstance(w.value, ParamRef):
+                displayed.add((s.name, w.value.name))
+    for s in model.screens:
         for t in s.transitions:
             for b in t.bindings:
                 if isinstance(b.value, OperationUse) and (t.dest, b.target) in displayed:
@@ -133,26 +126,18 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
         return ValueType.OPAQUE
 
     sigs: dict[str, OpSignature] = {}
-    for owner, op in iter_operation_uses(model):
-        if op.name in sigs:
+    for s, _, _, _, op in sites(model):
+        if not isinstance(op, OperationUse) or op.name in sigs:
             continue
         ptypes = []
         for a in op.args:
             v = a.value
-            if isinstance(v, Literal):
-                ptypes.append(ValueType.TEXT)
-            elif isinstance(v, WidgetRef):
-                ptypes.append(ValueType.TEXT)
-            elif isinstance(v, OperationUse):
+            if isinstance(v, OperationUse):
                 ptypes.append(return_type(v.name))
-            elif isinstance(v, ParamRef):
-                screen = model.screen(owner)
-                if screen is not None and screen.widget(v.name) is not None:
-                    ptypes.append(ValueType.TEXT)
-                else:
-                    ptypes.append(ValueType.OPAQUE)
-            else:
+            elif isinstance(v, ParamRef) and s.widget(v.name) is None:
                 ptypes.append(ValueType.OPAQUE)
+            else:
+                ptypes.append(ValueType.TEXT)  # a literal, or a widget's text
         body = BodyKind.FROM_CAPABILITY if builtin_cap(op.capability) else BodyKind.EMPTY_HOOK
         sigs[op.name] = OpSignature(op.name, tuple(ptypes), return_type(op.name), op.capability, body)
     return dict(sorted(sigs.items()))

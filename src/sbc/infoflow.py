@@ -21,10 +21,6 @@ from typing import Optional
 from .model import (
     OPERATION,
     AppModel,
-    BAnd,
-    BNot,
-    BOp,
-    BOr,
     Diagnostic,
     OperationUse,
     ParamRef,
@@ -36,6 +32,7 @@ from .model import (
     builtin_cap,
     iter_operation_uses,
     qualify,
+    sites,
 )
 
 Edge = tuple[QualifiedId, QualifiedId]
@@ -115,52 +112,30 @@ def _value_node(v, owner: str) -> Optional[QualifiedId]:
     return None
 
 
+def _flow(s, t, holder) -> tuple[QualifiedId, Optional[SourceSpan]]:
+    """The node a value position of `sites` flows into, and the span of its edge.
+    Guard terms (`holder is t`) flow nowhere."""
+    if isinstance(holder, OperationUse):
+        return qualify(holder.name, OPERATION), holder.span
+    if t is None:  # a widget's value
+        return qualify(holder.id, s.name), holder.span
+    return qualify(holder.target, t.dest), holder.span or t.span  # a binding's value
+
+
 # ---------------------------------------------------------------------------
 # Step 1: direct influences
 
 
 def build_influences(model: AppModel) -> InfluenceGraph:
-    edges: set[Edge] = set()
-    origin: dict[Edge, Optional[SourceSpan]] = {}
-
-    def add(src: Optional[QualifiedId], dst: QualifiedId, span):
-        if src is None:
-            return  # literals induce no flow
-        e = (src, dst)
-        edges.add(e)
-        origin.setdefault(e, span)
-
-    def op_edges(op: OperationUse, owner: str):
-        f = qualify(op.name, OPERATION)
-        for a in op.args:
-            add(_value_node(a.value, owner), f, op.span)
-            if isinstance(a.value, OperationUse):
-                op_edges(a.value, owner)
-
-    def value_edges(v, owner: str, target: QualifiedId, span):
-        add(_value_node(v, owner), target, span)
-        if isinstance(v, OperationUse):
-            op_edges(v, owner)
-
-    def bool_edges(b, owner: str):
-        if isinstance(b, BOp):
-            op_edges(b.op, owner)
-        elif isinstance(b, (BAnd, BOr)):
-            bool_edges(b.left, owner)
-            bool_edges(b.right, owner)
-        elif isinstance(b, BNot):
-            bool_edges(b.inner, owner)
-
-    for s in model.screens:
-        for w in s.widgets:
-            value_edges(w.value, s.name, qualify(w.id, s.name), w.span)
-        for t in s.transitions:
-            if t.guard is not None:
-                bool_edges(t.guard, s.name)
-            for b in t.bindings:
-                value_edges(b.value, s.name, qualify(b.target, t.dest), b.span or t.span)
-
-    return InfluenceGraph(node_roles(model), frozenset(edges), origin)
+    origin: dict[Edge, Optional[SourceSpan]] = {}  # each edge, with the span of its first position
+    for s, t, holder, _, v in sites(model):
+        if holder is t:
+            continue
+        src = _value_node(v, s.name)
+        if src is not None:  # literals induce no flow
+            dst, span = _flow(s, t, holder)
+            origin.setdefault((src, dst), span)
+    return InfluenceGraph(node_roles(model), frozenset(origin), origin)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +172,21 @@ def closure(graph: InfluenceGraph) -> ClosureRelation:
 # Step 3: endpoint classification
 
 
-def _op_source_untrusted(model: AppModel, op: OperationUse) -> bool:
+def _op_untrusted(model: AppModel, op: OperationUse, trust: str) -> bool:
+    """Whether the operation's "source_trust" or "sink_trust" is untrusted.
+    A foreign (undeclared) resource is untrusted both ways."""
     cap = builtin_cap(op.capability)
     if cap is not None:
-        return cap.source_trust is Trust.UNTRUSTED
-    if op.capability is not None:
-        rn, _ = op.capability
-        return model.resource(rn) is None  # foreign resource: untrusted both ways
-    return False
+        return getattr(cap, trust) is Trust.UNTRUSTED
+    return op.capability is not None and model.resource(op.capability[0]) is None
+
+
+def _op_source_untrusted(model: AppModel, op: OperationUse) -> bool:
+    return _op_untrusted(model, op, "source_trust")
 
 
 def _op_sink_untrusted(model: AppModel, op: OperationUse) -> bool:
-    cap = builtin_cap(op.capability)
-    if cap is not None:
-        return cap.sink_trust is Trust.UNTRUSTED
-    if op.capability is not None:
-        rn, _ = op.capability
-        return model.resource(rn) is None
-    return False
+    return _op_untrusted(model, op, "sink_trust")
 
 
 def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
@@ -255,61 +227,35 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
         in_edges.setdefault(e[1], []).append(e)
 
     def unused(what: str, span):
-        warnings.append(
-            Diagnostic(Severity.WARNING, "IF003", f"safe mark on {what} declassifies no flow", span)
-        )
+        return Diagnostic(Severity.WARNING, "IF003", f"safe mark on {what} declassifies no flow", span)
 
-    def arg_safe_edges(op: OperationUse, owner: str):
-        f = qualify(op.name, OPERATION)
-        for a in op.args:
-            if a.safe:
-                src = _value_node(a.value, owner)
-                if src is None:
-                    unused(f"literal argument of operation '{op.name}'", op.span)
-                else:
-                    safe.add((src, f))
-            if isinstance(a.value, OperationUse):
-                arg_safe_edges(a.value, owner)
-
-    def walk_value(v, owner: str):
-        if isinstance(v, OperationUse):
-            arg_safe_edges(v, owner)
-
-    def walk_bool(b, owner: str):
-        if isinstance(b, BOp):
-            arg_safe_edges(b.op, owner)
-        elif isinstance(b, (BAnd, BOr)):
-            walk_bool(b.left, owner)
-            walk_bool(b.right, owner)
-        elif isinstance(b, BNot):
-            walk_bool(b.inner, owner)
-
-    for s in model.screens:
-        for w in s.widgets:
-            walk_value(w.value, s.name)
-            if w.safe:
-                wq = qualify(w.id, s.name)
-                touched = False
-                src = _value_node(w.value, s.name)
-                if src is not None and (src, wq) in graph.edges:
-                    safe.add((src, wq))
-                    touched = True
-                for e in out_edges.get(wq, ()):
-                    safe.add(e)
-                    touched = True
-                if not touched:
-                    unused(f"widget '{w.id}'", w.span)
-        for t in s.transitions:
-            if t.guard is not None:
-                walk_bool(t.guard, s.name)
-            for b in t.bindings:
-                walk_value(b.value, s.name)
-                if b.safe:
-                    src = _value_node(b.value, s.name)
-                    if src is None:
-                        unused(f"binding of parameter '{b.target}'", b.span or t.span)
-                    else:
-                        safe.add((src, qualify(b.target, t.dest)))
+    own: list[Diagnostic] = []  # a widget's or binding's own warning follows its arguments'
+    for s, t, holder, is_safe, v in sites(model):
+        if own and not isinstance(holder, OperationUse):
+            warnings += own
+            own = []
+        if not is_safe:
+            continue
+        in_op = isinstance(holder, OperationUse)
+        src = _value_node(v, s.name)
+        dst, span = _flow(s, t, holder)
+        if t is None and not in_op:  # a safe widget declassifies its input and its uses
+            touched = False
+            if src is not None and (src, dst) in graph.edges:
+                safe.add((src, dst))
+                touched = True
+            for e in out_edges.get(dst, ()):
+                safe.add(e)
+                touched = True
+            if not touched:
+                own.append(unused(f"widget '{holder.id}'", span))
+        elif src is not None:
+            safe.add((src, dst))
+        elif in_op:
+            warnings.append(unused(f"literal argument of operation '{holder.name}'", span))
+        else:
+            own.append(unused(f"binding of parameter '{holder.target}'", span))
+    warnings += own
 
     for p in model.proxies:
         if p.safe or p.app_id is not None:
@@ -319,7 +265,7 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
                     safe.add(e)
                     touched = True
             if p.safe and not touched:
-                unused(f"proxy '{p.name}'", p.span)
+                warnings.append(unused(f"proxy '{p.name}'", p.span))
 
     return frozenset(safe), warnings
 

@@ -88,6 +88,14 @@ class WidgetRef:
     name: str
 
 
+def _attr(node, name: str):
+    """The value of a widget's or an operation use's attribute, or None."""
+    for k, v in node.attributes:
+        if k == name:
+            return v
+    return None
+
+
 @dataclass(frozen=True)
 class Arg:
     safe: bool
@@ -102,11 +110,7 @@ class OperationUse:
     attributes: tuple[tuple[str, object], ...] = ()
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
-    def attr(self, name: str):
-        for k, v in self.attributes:
-            if k == name:
-                return v
-        return None
+    attr = _attr
 
 
 ValueBinding = Union[Literal, ParamRef, WidgetRef, OperationUse]
@@ -200,11 +204,7 @@ class Widget:
     attributes: tuple[tuple[str, object], ...] = ()
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
-    def attr(self, name: str):
-        for k, v in self.attributes:
-            if k == name:
-                return v
-        return None
+    attr = _attr
 
 
 @dataclass(frozen=True)
@@ -353,83 +353,61 @@ def builtin_cap(capability: Optional[tuple[str, str]]) -> Optional[BuiltinCap]:
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Value positions
+
+
+def sites(model: AppModel):
+    """Yield (screen, transition, holder, safe, value) for every value position,
+    in declaration order, each before the positions nested in its value.
+
+    `holder` is the Widget or ParamBinding whose value it is, the OperationUse
+    whose argument it is, or the Transition whose guard holds it as a term (then
+    `holder is transition` and `safe` is False).  `transition` is None inside a
+    widget.  The parser bounds every expression's size, so the recursion is
+    shallow.
+    """
+    for s in model.screens:
+        for w in s.widgets:
+            yield s, None, w, w.safe, w.value
+            if isinstance(w.value, OperationUse):
+                yield from _arg_sites(s, None, w.value)
+        for t in s.transitions:
+            if t.guard is not None:
+                yield from _guard_sites(s, t, t.guard)
+            for b in t.bindings:
+                yield s, t, b, b.safe, b.value
+                if isinstance(b.value, OperationUse):
+                    yield from _arg_sites(s, t, b.value)
+
+
+def _arg_sites(s, t, op):
+    for a in op.args:
+        yield s, t, op, a.safe, a.value
+        if isinstance(a.value, OperationUse):
+            yield from _arg_sites(s, t, a.value)
+
+
+def _guard_sites(s, t, b):
+    if isinstance(b, BOp):
+        yield s, t, t, False, b.op
+        yield from _arg_sites(s, t, b.op)
+    elif isinstance(b, (BAnd, BOr)):
+        yield from _guard_sites(s, t, b.left)
+        yield from _guard_sites(s, t, b.right)
+    elif isinstance(b, BNot):
+        yield from _guard_sites(s, t, b.inner)
 
 
 def iter_operation_uses(model: AppModel):
     """Yield (screen_name, OperationUse) for every operation use in the model,
     in declaration order, including uses nested in arguments and guards."""
-
-    def from_value(owner, v):
-        if isinstance(v, OperationUse):
-            yield from from_op(owner, v)
-
-    def from_op(owner, op):
-        yield owner, op
-        for a in op.args:
-            yield from from_value(owner, a.value)
-
-    def from_bool(owner, b):
-        if isinstance(b, BOp):
-            yield from from_op(owner, b.op)
-        elif isinstance(b, (BAnd, BOr)):
-            yield from from_bool(owner, b.left)
-            yield from from_bool(owner, b.right)
-        elif isinstance(b, BNot):
-            yield from from_bool(owner, b.inner)
-
-    for s in model.screens:
-        for w in s.widgets:
-            yield from from_value(s.name, w.value)
-        for t in s.transitions:
-            if t.guard is not None:
-                yield from from_bool(s.name, t.guard)
-            for b in t.bindings:
-                yield from from_value(s.name, b.value)
+    return ((s.name, v) for s, _, _, _, v in sites(model) if isinstance(v, OperationUse))
 
 
 def boolean_position_ops(model: AppModel) -> set[str]:
     """Names of operations used directly as boolean guard terms."""
-    names: set[str] = set()
-
-    def walk(b):
-        if isinstance(b, BOp):
-            names.add(b.op.name)
-        elif isinstance(b, (BAnd, BOr)):
-            walk(b.left)
-            walk(b.right)
-        elif isinstance(b, BNot):
-            walk(b.inner)
-
-    for s in model.screens:
-        for t in s.transitions:
-            if t.guard is not None:
-                walk(t.guard)
-    return names
-
-
-def value_position_ops(model: AppModel) -> set[str]:
-    """Names of operations whose result is used as a (non-boolean) value."""
-    names: set[str] = set()
-    bool_ops = set()
-
-    def walk_bool(b):
-        if isinstance(b, BOp):
-            bool_ops.add(id(b.op))
-        elif isinstance(b, (BAnd, BOr)):
-            walk_bool(b.left)
-            walk_bool(b.right)
-        elif isinstance(b, BNot):
-            walk_bool(b.inner)
-
-    for s in model.screens:
-        for t in s.transitions:
-            if t.guard is not None:
-                walk_bool(t.guard)
-    for _, op in iter_operation_uses(model):
-        if id(op) not in bool_ops:
-            names.add(op.name)
-    return names
+    return {v.name for s in model.screens for t in s.transitions if t.guard is not None
+            for _, _, holder, _, v in _guard_sites(s, t, t.guard) if holder is t}
 
 
 # ---------------------------------------------------------------------------
@@ -487,32 +465,63 @@ def validate(model: AppModel) -> list[Diagnostic]:
             else:
                 bases[u.base] = s.name
 
-    op_sigs: dict[str, tuple[int, Optional[tuple[str, str]]]] = {}
+    # One pass over the value positions gathers the operation uses, the names
+    # of those used as guard terms and as values, and the unknown names, which
+    # `_validate_screen` reports per screen (widgets) and per transition.
+    ops: list[OperationUse] = []
+    positions: tuple[set[str], set[str]] = (set(), set())  # guard terms, values
+    named: dict[int, list[Diagnostic]] = {}  # by id of the screen or transition
+    spans: dict[int, Optional[SourceSpan]] = {}  # the span an operation's arguments report
+    scope = None
+    for s, t, holder, _, v in sites(model):
+        if holder is t:
+            span = t.span
+        elif isinstance(holder, OperationUse):
+            span = spans[id(holder)]
+        else:
+            span = holder.span if t is None else holder.span or t.span
+        if isinstance(v, OperationUse):
+            ops.append(v)
+            positions[holder is not t].add(v.name)
+            spans[id(v)] = v.span or span
+            continue
+        if not isinstance(v, (ParamRef, WidgetRef)):
+            continue
+        if s is not scope:
+            scope, params, widgets = s, set(s.all_params), {w.id for w in s.widgets}
+        if v.name in params:
+            continue
+        if v.name not in widgets:
+            d = _err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", span)
+        elif isinstance(v, ParamRef) and isinstance(holder, Widget):
+            d = _err("WF009", f"widget '{v.name}' cannot be the value of another widget", span)
+        else:
+            continue
+        named.setdefault(id(s if t is None else t), []).append(d)
 
     for s in model.screens:
-        out.extend(_validate_screen(model, s, screen_names, proxy_names, op_sigs))
+        out.extend(_validate_screen(model, s, screen_names, proxy_names, named))
 
     # operation use consistency (global): arity and capability agreement
     uses: dict[str, list[OperationUse]] = {}
-    for _, op in iter_operation_uses(model):
+    for op in ops:
         uses.setdefault(op.name, []).append(op)
-    for name, ops in uses.items():
-        arities = {len(op.args) for op in ops}
+    for name, same in uses.items():
+        arities = {len(op.args) for op in same}
         if len(arities) > 1:
-            out.append(_err("WF006", f"operation '{name}' used with inconsistent arities {sorted(arities)}", ops[0].span))
-        caps = {op.capability for op in ops if op.capability is not None}
+            out.append(_err("WF006", f"operation '{name}' used with inconsistent arities {sorted(arities)}", same[0].span))
+        caps = {op.capability for op in same if op.capability is not None}
         if len(caps) > 1:
-            out.append(_err("WF006", f"operation '{name}' used with conflicting capabilities", ops[0].span))
+            out.append(_err("WF006", f"operation '{name}' used with conflicting capabilities", same[0].span))
 
     # boolean/non-boolean position consistency
-    both = boolean_position_ops(model) & value_position_ops(model)
-    for name in sorted(both):
+    for name in sorted(positions[0] & positions[1]):
         out.append(_err("WF006", f"operation '{name}' used in both boolean and value positions"))
 
     # capability references must resolve to builtin or declared resources,
     # except foreign resources (another app's), which are legal and untrusted
     declared = {r.name: {c.name for c in r.capabilities} for r in model.resources}
-    for _, op in iter_operation_uses(model):
+    for op in ops:
         if op.capability is None:
             continue
         rn, cn = op.capability
@@ -532,7 +541,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
     return out
 
 
-def _validate_screen(model, s, screen_names, proxy_names, op_sigs):
+def _validate_screen(model, s, screen_names, proxy_names, named):
     out: list[Diagnostic] = []
 
     # all URIs of a screen must carry the same parameter set
@@ -551,43 +560,15 @@ def _validate_screen(model, s, screen_names, proxy_names, op_sigs):
             out.append(_err("WF001", f"name '{p}' used for both a widget and a parameter in screen '{s.name}'", s.span))
         names.add(p)
 
-    params = set(s.all_params)
-    widgets = {w.id for w in s.widgets}
-
-    def check_value(v, span, allow_widget_ref):
-        if isinstance(v, ParamRef):
-            if v.name not in params:
-                if v.name in widgets and not allow_widget_ref:
-                    out.append(_err("WF009", f"widget '{v.name}' cannot be the value of another widget", span))
-                elif v.name not in widgets:
-                    out.append(_err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", span))
-        elif isinstance(v, WidgetRef):
-            if v.name not in widgets:
-                if v.name in params:
-                    pass  # resolved as param at build time; tolerated
-                else:
-                    out.append(_err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", span))
-        elif isinstance(v, OperationUse):
-            for a in v.args:
-                check_value(a.value, v.span or span, True)
-
-    for w in s.widgets:
-        check_value(w.value, w.span, allow_widget_ref=False)
-
-    def check_bool(b, span):
-        if isinstance(b, BOp):
-            check_value(b.op, span, True)
-        elif isinstance(b, (BAnd, BOr)):
-            check_bool(b.left, span)
-            check_bool(b.right, span)
-        elif isinstance(b, BNot):
-            check_bool(b.inner, span)
+    # names the widgets' values use that the screen does not declare
+    out.extend(named.get(id(s), ()))
 
     # transitions: total order 1..n, known destinations, exact binding cover
     orders = sorted(t.order for t in s.transitions)
     if orders != list(range(1, len(orders) + 1)):
         out.append(_err("WF002", f"transition order indices of screen '{s.name}' must be exactly 1..{len(orders)}", s.span))
 
+    widgets = {w.id for w in s.widgets}
     for t in s.transitions:
         if t.dest not in screen_names and t.dest not in proxy_names:
             out.append(_err("WF007", f"transition '{t.id}' targets unknown screen '{t.dest}'", t.span))
@@ -595,30 +576,20 @@ def _validate_screen(model, s, screen_names, proxy_names, op_sigs):
             wid, _ = t.user_action
             if wid not in widgets:
                 out.append(_err("WF007", f"transition '{t.id}' names unknown widget '{wid}'", t.span))
-        if t.guard is not None:
-            check_bool(t.guard, t.span)
-        for b in t.bindings:
-            check_value(b.value, b.span or t.span, True)
+        out.extend(named.get(id(t), ()))
+        targets = [b.target for b in t.bindings]
         if t.dest in screen_names:
-            dest = model.screen(t.dest)
-            want = set(dest.params)
-            got = [b.target for b in t.bindings]
-            if len(got) != len(set(got)):
+            dest, want = "screen", set(model.screen(t.dest).params)
+            if len(targets) != len(set(targets)):
                 out.append(_err("WF003", f"transition '{t.id}' binds a parameter twice", t.span))
-            missing = want - set(got)
-            extra = set(got) - want
-            for m in sorted(missing):
-                out.append(_err("WF003", f"transition '{t.id}' provides no value for parameter '{m}' of screen '{t.dest}'", t.span))
-            for e in sorted(extra):
-                out.append(_err("WF003", f"transition '{t.id}' binds '{e}', not a parameter of screen '{t.dest}'", t.span))
         elif t.dest in proxy_names:
-            proxy = model.proxy(t.dest)
-            want = set(proxy.uri.params)
-            got = set(b.target for b in t.bindings)
-            for m in sorted(want - got):
-                out.append(_err("WF003", f"transition '{t.id}' provides no value for parameter '{m}' of proxy '{t.dest}'", t.span))
-            for e in sorted(got - want):
-                out.append(_err("WF003", f"transition '{t.id}' binds '{e}', not a parameter of proxy '{t.dest}'", t.span))
+            dest, want = "proxy", set(model.proxy(t.dest).uri.params)
+        else:
+            continue
+        for m in sorted(want - set(targets)):
+            out.append(_err("WF003", f"transition '{t.id}' provides no value for parameter '{m}' of {dest} '{t.dest}'", t.span))
+        for e in sorted(set(targets) - want):
+            out.append(_err("WF003", f"transition '{t.id}' binds '{e}', not a parameter of {dest} '{t.dest}'", t.span))
     return out
 
 

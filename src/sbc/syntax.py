@@ -219,13 +219,18 @@ class _Parser:
         if self.nodes > MAX_EXPRESSION_NODES:
             raise self.fail(f"expected at most {MAX_EXPRESSION_NODES} operators and calls in one expression", "PAR004")
 
-    def recover(self, stops=_SYNC):
-        # skip to the next item boundary so later errors can still surface
+    def recover(self, error: ParseError, in_block: bool = False):
+        # record the error, then skip the token it names and on to the next
+        # item boundary so later errors can still surface; inside a block, a
+        # '}' stays to close it
+        self.diags.append(error.diag)
+        if not (in_block and self.at("}")):
+            self.next()
         while True:
             t = self.peek()
             if t.kind == "EOF":
                 return
-            if t.kind == "IDENT" and (t.text in stops or t.text in KINDS or t.text == "safe"):
+            if t.kind == "IDENT" and (t.text in _SYNC or t.text in KINDS or t.text == "safe"):
                 return
             if t.kind == "PUNCT" and t.text == "}":
                 return
@@ -259,9 +264,7 @@ class _Parser:
                 else:
                     raise self.fail("expected 'screen', 'proxy', or 'resource'")
             except ParseError as e:
-                self.diags.append(e.diag)
-                self.next()
-                self.recover()
+                self.recover(e)
         if start is None and screens:
             start = screens[0].name  # canonical: the default start is explicit
         return AppModel(app_id, tuple(screens), tuple(proxies), tuple(resources), start, self.span(first))
@@ -316,9 +319,7 @@ class _Parser:
                 else:
                     widgets.append(self.widget())
             except ParseError as e:
-                self.diags.append(e.diag)
-                self.next()
-                self.recover()
+                self.recover(e)
         return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(t0))
 
     def widget(self) -> Widget:
@@ -432,11 +433,17 @@ class _Parser:
             while not self.eat("}"):
                 if self.peek().kind == "EOF":
                     raise self.fail("expected 'param' or '}'")
-                p0 = self.expect("param")
-                target = self.expect_kind("IDENT", "parameter name").text
-                self.expect("=")
-                safe = self.eat("safe")
-                bindings.append(ParamBinding(target, safe, self.expression(self.value), self.span(p0)))
+                try:
+                    p0 = self.expect("param")
+                    target = self.expect_kind("IDENT", "parameter name").text
+                    self.expect("=")
+                    safe = self.eat("safe")
+                    bindings.append(ParamBinding(target, safe, self.expression(self.value), self.span(p0)))
+                except ParseError as e:
+                    # recover inside the block, so that its '}' does not end the screen
+                    self.recover(e, in_block=True)
+                    if not (self.at("param") or self.at("}")):
+                        break  # the block is not closed; the screen resumes here
         return Transition(tid, order, dest, ua, guard, tuple(bindings), self.span(t0))
 
     def bexpr(self) -> BoolExpr:

@@ -218,6 +218,13 @@ class TestCheck:
         p.write_text('app "a" screen S { TextView T = "café ²" }\n', encoding="utf-8")
         assert run(capsys, "check", str(p)) == (0, "", "")
 
+    def test_error_in_binding_block_reported_once(self, capsys, tmp_path):
+        p = tmp_path / "x.sbd"
+        p.write_text('app "a"\nscreen S {\n  Button B = "b"\n  transition t order 1 dest S cond B.click {\n'
+                     "    param p = f(p, )\n  }\n}\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out, err) == (2, f"error PAR002 {p}:5:20 expected a value, found ')'\n", "")
+
     def test_wf_error_reported(self, capsys, tmp_path):
         p = tmp_path / "dup.sbd"
         p.write_text('app "a" screen S { }\nscreen S { }\n')

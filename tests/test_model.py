@@ -7,10 +7,16 @@ from sbc import syntax
 from sbc.model import (
     BUILTIN_CATALOG,
     OPERATION,
+    Literal,
+    ParamRef,
     Severity,
     Trust,
+    WidgetRef,
+    boolean_position_ops,
+    iter_operation_uses,
     out_transitions,
     qualify,
+    sites,
     start_screen,
     validate,
 )
@@ -115,6 +121,75 @@ class TestValidate:
     def test_all_findings_are_diagnostics(self):
         m = parse_text('app "a" screen S { TextView A = nope }')
         assert all(d.severity is Severity.ERROR for d in validate(m))
+
+
+    def test_order_interleaves_names_with_each_transition(self):
+        # Every finding is a WF on line 1, where the CLI's stable sort keeps
+        # validate's order: widget names, then per transition its destination,
+        # the names in its bindings, and its binding cover.
+        m = parse_text(
+            'app "a" screen S { TextView T = q transition t order 1 dest Nowhere { param x = r } '
+            "transition u order 2 dest S { param y = w } }"
+        )
+        assert [d.message for d in validate(m)] == [
+            "unknown identifier 'q' in screen 'S'",
+            "transition 't' targets unknown screen 'Nowhere'",
+            "unknown identifier 'r' in screen 'S'",
+            "unknown identifier 'w' in screen 'S'",
+            "transition 'u' binds 'y', not a parameter of screen 'S'",
+        ]
+        assert {d.span.line for d in validate(m)} == {1}
+
+
+SITES = """app "a"
+screen S {
+  param p
+  Button B = "b"
+  TextView T = f(p, safe g("x", B))
+  transition t order 1 dest R cond B.click and not h(p) or (k() and true) {
+    param q = safe p
+  }
+}
+screen R {
+  param q
+}
+"""
+
+
+class TestSites:
+    def test_each_position_once_in_declaration_order(self):
+        m = parse_text(SITES)
+        s = m.screens[0]
+        button, text = s.widgets
+        t = s.transitions[0]
+        f = text.value
+        g = f.args[1].value
+        h = t.guard.left.inner.op
+        k = t.guard.right.left.op
+        binding = t.bindings[0]
+        expected = [
+            (s, None, button, False, Literal("b")),
+            (s, None, text, False, f),
+            (s, None, f, False, ParamRef("p")),
+            (s, None, f, True, g),
+            (s, None, g, False, Literal("x")),
+            (s, None, g, False, WidgetRef("B")),
+            (s, t, t, False, h),
+            (s, t, h, False, ParamRef("p")),
+            (s, t, t, False, k),
+            (s, t, binding, True, ParamRef("p")),
+        ]
+
+        def ids(site):  # screen, transition and holder by identity
+            return (id(site[0]), id(site[1]), id(site[2])) + site[3:]
+
+        assert [ids(x) for x in sites(m)] == [ids(x) for x in expected]
+
+    def test_filters_over_sites(self):
+        m = parse_text(SITES)
+        assert [(owner, op.name) for owner, op in iter_operation_uses(m)] == [
+            ("S", "f"), ("S", "g"), ("S", "h"), ("S", "k")]
+        assert boolean_position_ops(m) == {"h", "k"}
 
 
 class TestLookups:

@@ -40,6 +40,21 @@ class TestParse:
         assert not out.ok
         assert len(out.diagnostics) >= 2
 
+    BLOCK = 'app "a"\nscreen S {\n  Button B = "b"\n  transition t order 1 dest S cond B.click {\n'
+
+    @pytest.mark.parametrize("body, expected", [
+        ('    param p = f(p, )\n  }\n}\n', [(5, 20, "expected a value, found ')'")]),
+        ('    param p = }\n  TextView T = "x"\n}\n', [(5, 15, "expected a value, found '}'")]),
+        ('    param p = f(p, )\n    param q = g(, )\n  }\n}\n',
+         [(5, 20, "expected a value, found ')'"), (6, 17, "expected a value, found ','")]),
+        ('    param p = f(p, )\n  transition u order 2 dest S\n}\n', [(5, 20, "expected a value, found ')'")]),
+        ('    Button X = "x"\n  }\n  TextView T = "y"\n}\n', [(5, 5, "expected 'param', found 'Button'")]),
+    ], ids=["bad-argument", "missing-value", "two-bindings", "unclosed-block", "not-a-binding"])
+    def test_recovers_inside_a_binding_block(self, body, expected):
+        # the block's '}' closes the block, not the screen
+        out = syntax.parse(self.BLOCK + body, "t")
+        assert [(d.span.line, d.span.column, d.message) for d in out.diagnostics] == expected
+
     def test_spans_point_into_input(self):
         text = 'app "a" screen S { Foo x = "v" }'
         out = syntax.parse(text, "t")
