@@ -13,6 +13,7 @@ Set SBC_COLOR=0|1 to force color off/on in human output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -195,6 +196,7 @@ def _cmd_fmt(args) -> int:
     return _per_file(args, one)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sbc", description="storyboard compiler and analyzer")
     sub = parser.add_subparsers(dest="command", required=True)

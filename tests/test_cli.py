@@ -5,6 +5,7 @@ import random
 
 import pytest
 from conftest import FIXTURES, ILL_FORMED
+from golden import SEPARATORS, WORDS, mutate
 
 from sbc import cli, codegen, infoflow, interp, model, rules, syntax
 from sbc.model import validate
@@ -316,12 +317,6 @@ class TestDeepNesting:
 class TestFuzz:
     """Malformed input of any kind gets a diagnostic and exit 2, never a traceback."""
 
-    WORDS = ["app", "screen", "start", "proxy", "resource", "access", "own", "capability", "param", "transition",
-             "order", "dest", "cond", "and", "or", "not", "true", "false", "safe", "use", "uri", "Button",
-             "TextView", "WebView", "click", "S", "f", "a-b", "12", "12ab", "{", "}", "(", ")", "[", "]", "=", ",",
-             ".", '"s"', '"a\\"b"', '"\\', '"', "\\", "#c", "\n", "\r\n", "\t", "²", "é", '"é²"', "-", "@"]
-    SEPARATORS = [" ", "", "\n"]
-
     def check(self, capsys, path):
         code, out, err = run(capsys, "check", str(path))
         assert code in (0, 1, 2)
@@ -334,7 +329,7 @@ class TestFuzz:
         rng = random.Random(1)
         p = tmp_path / "soup.sbd"
         for _ in range(300):
-            words = [rng.choice(self.WORDS) + rng.choice(self.SEPARATORS) for _ in range(rng.randint(0, 60))]
+            words = [rng.choice(WORDS) + rng.choice(SEPARATORS) for _ in range(rng.randint(0, 60))]
             p.write_text(rng.choice(['app "a" screen S { ', ""]) + "".join(words), encoding="utf-8")
             self.check(capsys, p)
 
@@ -343,12 +338,7 @@ class TestFuzz:
         corpus = [f.read_text() for f in sorted(FIXTURES.rglob("*.sbd"))]
         p = tmp_path / "mutant.sbd"
         for _ in range(300):
-            text = rng.choice(corpus)
-            for _ in range(rng.randint(1, 4)):
-                i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
-                text = rng.choice([text[:i] + text[j:], text[:i] + rng.choice(self.WORDS) + text[i:],
-                                   text[:i] + "not " * rng.randint(1, 3000) + text[i:]])
-            p.write_text(text, encoding="utf-8")
+            p.write_text(mutate(rng, corpus), encoding="utf-8")
             self.check(capsys, p)
 
     def test_random_bytes(self, capsys, tmp_path):
