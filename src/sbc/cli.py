@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of one str
 from typing import Optional
 
 from . import codegen, interp, rules, syntax
@@ -43,26 +43,41 @@ def _sort_key(d: Diagnostic):
     return (d.span.file, d.span.line, d.code)
 
 
+class _JsonNames(dict):
+    """Node -> its name as a JSON string, encoded on first use."""
+
+    def __missing__(self, q):
+        self[q] = text = _json_str(str(q))
+        return text
+
+
+def _machine_line(d: Diagnostic, names: _JsonNames) -> str:
+    """The finding as `json.dumps` writes its record, byte for byte."""
+    span = d.span
+    if span is None:
+        where = '"file": null, "line": null, "col": null'
+    else:
+        where = f'"file": {_json_str(span.file)}, "line": {span.line}, "col": {span.column}'
+    return (
+        f'{{"severity": {_json_str(d.severity.value)}, "code": {_json_str(d.code)}, {where}, '
+        f'"message": {_json_str(d.message)}, "witness": [{", ".join(map(names.__getitem__, d.witness))}]}}'
+    )
+
+
 def emit_diagnostics(findings: list[Diagnostic], fmt: str, stream=None) -> None:
+    """Print the findings, sorted by place and code, in one write."""
     stream = stream or sys.stdout
-    color = fmt == "human" and _use_color(stream)
-    for d in sorted(findings, key=_sort_key):
-        if fmt == "machine":
-            record = {
-                "severity": d.severity.value,
-                "code": d.code,
-                "file": d.span.file if d.span else None,
-                "line": d.span.line if d.span else None,
-                "col": d.span.column if d.span else None,
-                "message": d.message,
-                "witness": [str(q) for q in d.witness],
-            }
-            print(json.dumps(record), file=stream)
-        else:
-            text = d.format_human()
-            if color:
-                text = _COLORS[d.severity] + text + "\x1b[0m"
-            print(text, file=stream)
+    ordered = sorted(findings, key=_sort_key)
+    if fmt == "machine":
+        names = _JsonNames()
+        lines = [_machine_line(d, names) for d in ordered]
+    elif _use_color(stream):
+        lines = [_COLORS[d.severity] + d.format_human() + "\x1b[0m" for d in ordered]
+    else:
+        lines = [d.format_human() for d in ordered]
+    if lines:
+        lines.append("")  # the last line's newline
+        stream.write("\n".join(lines))
 
 
 def _load_model(path: str, fmt: str) -> Optional[AppModel]:

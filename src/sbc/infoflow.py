@@ -5,8 +5,17 @@ identifiers, classifies untrusted sources and sinks against the builtin
 catalog, finds what the sources reach by graph search, collects declassified
 (`safe`) edges, and reports integrity/confidentiality violations with a
 deterministic witness path for each.  `flow_diagnostics` builds the graph
-and the safe set once and passes them to every later step.  The analysis
-never builds the reflexive-transitive `closure`, which stays for callers.
+and the safe set once and passes them to every later step.
+
+`analyze` interns the nodes: it numbers them once in name order, so that
+comparing two numbers compares two names, and searches sorted int successor
+lists.  Each witness search (`_least_paths`, one per start) keeps only the
+breadth-first parent of each node it reaches; a witness is rebuilt from the
+parents only for a (source, sink) pair that is reported.
+
+No command builds the reflexive-transitive `closure`; only tests call it.  It
+and `_least_paths` keep their names because the benchmark's tracer
+(perfbench/tracer.py) wraps them by name.
 
 Guards never contribute control edges: all transition constraints are assumed
 satisfiable, so only data positions induce flows.
@@ -14,6 +23,7 @@ satisfiable, so only data positions induce flows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -142,20 +152,20 @@ def build_influences(model: AppModel) -> InfluenceGraph:
 # Step 2: reachability by search (the test oracle recomputes it independently)
 
 
-def _successors(edges) -> dict[QualifiedId, list[QualifiedId]]:
-    """Successor lists over `edges`, each in node-name order."""
-    succ: dict[QualifiedId, list[QualifiedId]] = {}
-    for a, b in sorted(edges, key=lambda e: (str(e[0]), str(e[1]))):
-        succ.setdefault(a, []).append(b)
+def _adjacency(edges) -> defaultdict[QualifiedId, list[QualifiedId]]:
+    """Successor lists over `edges`, in no particular order."""
+    succ: defaultdict[QualifiedId, list[QualifiedId]] = defaultdict(list)
+    for a, b in edges:
+        succ[a].append(b)
     return succ
 
 
-def _reach(starts, succ: dict[QualifiedId, list[QualifiedId]]) -> set[QualifiedId]:
+def _reach(starts, succ) -> set:
     """Every node reachable from `starts` over `succ`, the starts included."""
     seen = set(starts)
     stack = list(seen)
     while stack:
-        for m in succ.get(stack.pop(), ()):
+        for m in succ[stack.pop()]:
             if m not in seen:
                 seen.add(m)
                 stack.append(m)
@@ -163,7 +173,7 @@ def _reach(starts, succ: dict[QualifiedId, list[QualifiedId]]) -> set[QualifiedI
 
 
 def closure(graph: InfluenceGraph) -> ClosureRelation:
-    succ = _successors(graph.edges)
+    succ = _adjacency(graph.edges)
     nodes = set(graph.nodes).union(*graph.edges)
     return ClosureRelation(frozenset((a, b) for a in nodes for b in _reach((a,), succ)))
 
@@ -209,7 +219,7 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
             for pn in p.uri.params:
                 sinks.add(qualify(pn, p.name))
 
-    reachable = _reach(sources, _successors(graph.edges))
+    reachable = _reach(sources, _adjacency(graph.edges))
     return TrustMap(frozenset(sources), frozenset(sinks), frozenset(reachable))
 
 
@@ -274,20 +284,43 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
 # Step 5: violations
 
 
-def _least_paths(start: QualifiedId, succ: dict[QualifiedId, list[QualifiedId]]):
-    """Lexicographically least (by length, then node names) path from start to
-    every reachable node.  A breadth-first search over name-ordered successors
-    dequeues each level in least-path order, so it meets each node first along
-    its least path."""
-    best = {start: (start,)}
+def _number(nodes, edges) -> tuple[list[QualifiedId], dict[QualifiedId, int], list[list[int]], list[list[int]]]:
+    """The nodes in name order, each node's number in it, and the sorted
+    successor and predecessor lists of `edges` over those numbers."""
+    names = sorted(nodes, key=str)
+    index = {q: i for i, q in enumerate(names)}
+    succ: list[list[int]] = [[] for _ in names]
+    pred: list[list[int]] = [[] for _ in names]
+    for a, b in sorted([(index[a], index[b]) for a, b in edges]):
+        succ[a].append(b)
+        pred[b].append(a)
+    return names, index, succ, pred
+
+
+def _least_paths(start: int, succ: list[list[int]]) -> dict[int, int]:
+    """The breadth-first parent of every node reachable from start (start is
+    its own parent).  Nodes are numbered in name order and successor lists
+    are sorted, so the search dequeues each level in least-path order and
+    meets each node first along its lexicographically least path (by
+    length, then node names): that path is its parent's plus the node."""
+    parent = {start: start}
     queue = [start]
     for node in queue:  # appending while iterating makes the list a FIFO queue
-        path = best[node]
-        for m in succ.get(node, ()):
-            if m not in best:
-                best[m] = path + (m,)
+        for m in succ[node]:
+            if m not in parent:
+                parent[m] = node
                 queue.append(m)
-    return best
+    return parent
+
+
+def _witness(parent: dict[int, int], start: int, node: int, names: list[QualifiedId]) -> tuple[QualifiedId, ...]:
+    """The least path from start to node, read back through the parents."""
+    path = [names[node]]
+    while node != start:
+        node = parent[node]
+        path.append(names[node])
+    path.reverse()
+    return tuple(path)
 
 
 def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> list[FlowViolation]:
@@ -295,39 +328,31 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
     roles = graph.roles
 
     unsafe = graph.edges - safe
-    succ = _successors(unsafe)
+    names, index, succ, pred = _number(set(graph.nodes).union(*unsafe), unsafe)
+    sources = sorted(index[q] for q in trust.untrusted_sources)
+    sinks = sorted(index[q] for q in trust.untrusted_sinks)
 
     # Only untrusted sources (integrity) and declared nodes with an unsafe path
     # into an untrusted sink (confidentiality) can start a witness.
-    leaks = _reach(trust.untrusted_sinks, _successors((b, a) for a, b in unsafe)) & graph.nodes
-    paths = {n: _least_paths(n, succ) for n in trust.untrusted_sources | leaks}
-
-    found: dict[tuple[FlowKind, QualifiedId, QualifiedId], tuple[QualifiedId, ...]] = {}
+    leaks = sorted(n for n in _reach(sinks, pred) if names[n] in roles)
+    parents = {n: _least_paths(n, succ) for n in set(sources).union(leaks)}
 
     # Integrity: a widget or operation consumes, along an unsafe direct edge,
     # a value attributable to an untrusted source.
     tainted = {u for u in trust.untrusted_reachable if roles.get(u) is Role.PARAM}
     tainted |= {u for u in trust.untrusted_sources if roles.get(u) is Role.OP}
-    consumers = {k for u, k in unsafe if u in tainted and roles.get(k) in (Role.WIDGET, Role.OP)}
-    sources = sorted(trust.untrusted_sources)
-    for k in sorted(consumers, key=str):
-        for s in sources:
-            w = paths[s].get(k)
-            if w is not None and len(w) >= 2:
-                found[(FlowKind.INTEGRITY, s, k)] = w
+    consumers = sorted({index[k] for u, k in unsafe if u in tainted and roles.get(k) in (Role.WIDGET, Role.OP)})
 
-    # Confidentiality: any value flowing unsafely into an untrusted sink.
-    leakers = sorted(leaks)
-    for k in sorted(trust.untrusted_sinks):
-        for s in leakers:
-            w = paths[s].get(k)
-            if w is not None and len(w) >= 2:
-                found[(FlowKind.CONFIDENTIALITY, s, k)] = w
-
-    return [
-        FlowViolation(kind, s, k, found[(kind, s, k)])
-        for kind, s, k in sorted(found, key=lambda t: (t[0].value, str(t[1]), str(t[2])))
-    ]
+    # Report order: by kind ("confidentiality" < "integrity"), then by source
+    # and sink name.  A witness has at least one edge, so k != s.
+    out: list[FlowViolation] = []
+    for kind, starts, ends in ((FlowKind.CONFIDENTIALITY, leaks, sinks), (FlowKind.INTEGRITY, sources, consumers)):
+        for s in starts:
+            parent = parents[s]
+            for k in ends:
+                if k != s and k in parent:
+                    out.append(FlowViolation(kind, names[s], names[k], _witness(parent, s, k, names)))
+    return out
 
 
 def flow_diagnostics(model: AppModel) -> list[Diagnostic]:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 # Distinguished owner for operation names: operations are globally scoped,
 # so every use of the same name qualifies to the same id.
@@ -29,8 +29,10 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, order=True)
-class QualifiedId:
+class QualifiedId(NamedTuple):
+    """A tuple, so that hashing and comparing ids, which the flow analysis and
+    the interpreter do for every lookup, run in C; ids order as (base, owner)."""
+
     base: str
     owner: str  # screen/proxy name, or OPERATION for operation names
 

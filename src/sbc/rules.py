@@ -16,7 +16,7 @@ then information flow, then these rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from . import infoflow
 from .model import (
@@ -30,12 +30,6 @@ from .model import (
     iter_operation_uses,
     validate,
 )
-
-
-@dataclass(frozen=True)
-class RuleReport:
-    findings: tuple[Diagnostic, ...]
-    blocking: bool
 
 
 def check_access_control(model: AppModel) -> list[Diagnostic]:
@@ -73,31 +67,25 @@ def check_webview_whitelist(model: AppModel) -> list[Diagnostic]:
     return out
 
 
-def check_cert_pinning(model: AppModel) -> list[Diagnostic]:
-    out = []
-    for _, op in iter_operation_uses(model):
-        cap = builtin_cap(op.capability)
-        if cap is None or op.attr("disableCertPin") is not True:
-            continue
-        if "https" in cap.tags:
-            out.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "RC003",
-                    f"operation '{op.name}' disables certificate pinning on an https capability",
-                    op.span,
-                )
-            )
-        elif "ssl-socket" in cap.tags:
-            out.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "RC004",
-                    f"operation '{op.name}' disables certificate pinning on an ssl socket",
-                    op.span,
-                )
-            )
-    return out
+def _cert_pinning(op: OperationUse) -> Optional[Diagnostic]:
+    cap = builtin_cap(op.capability)
+    if cap is None or op.attr("disableCertPin") is not True:
+        return None
+    if "https" in cap.tags:
+        return Diagnostic(
+            Severity.WARNING,
+            "RC003",
+            f"operation '{op.name}' disables certificate pinning on an https capability",
+            op.span,
+        )
+    if "ssl-socket" in cap.tags:
+        return Diagnostic(
+            Severity.WARNING,
+            "RC004",
+            f"operation '{op.name}' disables certificate pinning on an ssl socket",
+            op.span,
+        )
+    return None
 
 
 def _keystore_backed(value) -> bool:
@@ -107,54 +95,60 @@ def _keystore_backed(value) -> bool:
     return cap is not None and "keystore" in cap.tags
 
 
-def check_cipher_keys(model: AppModel) -> list[Diagnostic]:
+def _cipher_key(op: OperationUse) -> Optional[Diagnostic]:
     # convention: the key is the first argument of a cipher operation
-    out = []
-    for _, op in iter_operation_uses(model):
-        cap = builtin_cap(op.capability)
-        if cap is None or "cipher" not in cap.tags:
-            continue
-        if not op.args or not _keystore_backed(op.args[0].value):
-            out.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "RC005",
-                    f"cipher operation '{op.name}' must take its key from a keystore-backed operation",
-                    op.span,
-                )
-            )
-    return out
+    cap = builtin_cap(op.capability)
+    if cap is None or "cipher" not in cap.tags:
+        return None
+    if op.args and _keystore_backed(op.args[0].value):
+        return None
+    return Diagnostic(
+        Severity.ERROR,
+        "RC005",
+        f"cipher operation '{op.name}' must take its key from a keystore-backed operation",
+        op.span,
+    )
+
+
+def _http_use(op: OperationUse) -> Optional[Diagnostic]:
+    if op.capability is None or op.capability[0] != "HTTP":
+        return None
+    return Diagnostic(
+        Severity.WARNING,
+        "RC006",
+        f"operation '{op.name}' uses plaintext HTTP; prefer an HTTPS capability",
+        op.span,
+    )
+
+
+def _operations(model: AppModel) -> list[OperationUse]:
+    return [op for _, op in iter_operation_uses(model)]
+
+
+def _per_operation(rule, ops: list[OperationUse]) -> list[Diagnostic]:
+    return [d for d in map(rule, ops) if d is not None]
+
+
+def check_cert_pinning(model: AppModel) -> list[Diagnostic]:
+    return _per_operation(_cert_pinning, _operations(model))
+
+
+def check_cipher_keys(model: AppModel) -> list[Diagnostic]:
+    return _per_operation(_cipher_key, _operations(model))
 
 
 def check_http_use(model: AppModel) -> list[Diagnostic]:
-    out = []
-    for _, op in iter_operation_uses(model):
-        if op.capability is not None and op.capability[0] == "HTTP":
-            out.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "RC006",
-                    f"operation '{op.name}' uses plaintext HTTP; prefer an HTTPS capability",
-                    op.span,
-                )
-            )
-    return out
+    return _per_operation(_http_use, _operations(model))
 
 
-_CHECKS = (
-    check_access_control,
-    check_webview_whitelist,
-    check_cert_pinning,
-    check_cipher_keys,
-    check_http_use,
-)
-
-
-def check_all(model: AppModel) -> RuleReport:
-    findings: list[Diagnostic] = []
-    for check in _CHECKS:
-        findings.extend(check(model))
-    return RuleReport(tuple(findings), any(f.severity is Severity.ERROR for f in findings))
+def check_all(model: AppModel) -> list[Diagnostic]:
+    """The five checks' findings, concatenated in the order above.  The
+    operation uses are walked once, for the three per-operation rules."""
+    ops = _operations(model)
+    findings = check_access_control(model) + check_webview_whitelist(model)
+    for rule in (_cert_pinning, _cipher_key, _http_use):
+        findings += _per_operation(rule, ops)
+    return findings
 
 
 def findings(model: AppModel) -> list[Diagnostic]:
@@ -162,4 +156,4 @@ def findings(model: AppModel) -> list[Diagnostic]:
     wf = validate(model)
     if wf:
         return wf
-    return infoflow.flow_diagnostics(model) + list(check_all(model).findings)
+    return infoflow.flow_diagnostics(model) + check_all(model)

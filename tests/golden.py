@@ -56,12 +56,11 @@ from modelgen import gen_model  # noqa: E402
 
 from sbc import cli, syntax  # noqa: E402
 
-# Words and separators the mutants splice in (the CLI fuzz tests use them too).
+# Words the mutants splice in (the CLI fuzz tests use them too).
 WORDS = ["app", "screen", "start", "proxy", "resource", "access", "own", "capability", "param", "transition",
          "order", "dest", "cond", "and", "or", "not", "true", "false", "safe", "use", "uri", "Button",
          "TextView", "WebView", "click", "S", "f", "a-b", "12", "12ab", "{", "}", "(", ")", "[", "]", "=", ",",
          ".", '"s"', '"a\\"b"', '"\\', '"', "\\", "#c", "\n", "\r\n", "\t", "²", "é", '"é²"', "-", "@"]
-SEPARATORS = [" ", "", "\n"]
 
 MODEL_SEEDS = range(10000, 10300)
 MUTANTS = 1500

@@ -90,11 +90,10 @@ def test_03_leak_example():
     m = load_fixture("browser.sbd")
     kinds = {(v.kind.value, str(v.sink)) for v in violations(m)}
     assert ("confidentiality", "save") in kinds
-    report = rules.check_all(m)
-    assert any(f.code == "RC002" and f.severity is Severity.ERROR for f in report.findings)
+    assert any(f.code == "RC002" and f.severity is Severity.ERROR for f in rules.check_all(m))
     fixed = load_fixture("browser_fixed.sbd")
     assert violations(fixed) == []
-    assert not any(f.severity is Severity.ERROR for f in rules.check_all(fixed).findings)
+    assert not any(f.severity is Severity.ERROR for f in rules.check_all(fixed))
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -114,7 +113,7 @@ def test_04_rule_suite():
         "rc005_neg": [],
     }
     for name, want in expected.items():
-        got = [(f.code, f.severity) for f in rules.check_all(load_fixture(f"rules/{name}.sbd")).findings]
+        got = [(f.code, f.severity) for f in rules.check_all(load_fixture(f"rules/{name}.sbd"))]
         assert got == want, f"{name}: {got}"
     assert time.perf_counter() - t0 < 1.0
 
@@ -198,13 +197,13 @@ def test_09_category_corpus():
     for name, method in expected.items():
         m = load_fixture(f"categories/{name}.sbd")
         has_if = bool(violations(m))
-        has_rc = bool(rules.check_all(m).findings)
+        has_rc = bool(rules.check_all(m))
         got = {"IF": has_if and not has_rc, "RC": has_rc and not has_if,
                "IF&RC": has_if and has_rc}
         assert got[method], f"{name}: if={has_if} rc={has_rc}, want {method}"
         fixed = load_fixture(f"categories/{name}_fixed.sbd")
         assert not violations(fixed), name
-        assert not rules.check_all(fixed).findings, name
+        assert not rules.check_all(fixed), name
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -1,14 +1,15 @@
 """Command-line driver: exit codes, output formats, file handling."""
 
+import io
 import json
 import random
 
 import pytest
 from conftest import FIXTURES, ILL_FORMED
-from golden import SEPARATORS, WORDS, mutate
+from golden import WORDS, mutate
 
 from sbc import cli, codegen, infoflow, interp, model, rules, syntax
-from sbc.model import validate
+from sbc.model import OPERATION, Diagnostic, Severity, SourceSpan, qualify, validate
 
 
 def fixture(name):
@@ -60,6 +61,65 @@ class TestExitCodes:
     def test_fail_on_warnings_promotes(self, capsys):
         code, _, _ = run(capsys, "analyze", "--fail-on-warnings", fixture("rules/rc003_pos.sbd"))
         assert code == 1
+
+
+# Hand-built findings, in the order emit_diagnostics sorts them (file, line, code).
+HAND_BUILT = [
+    Diagnostic(Severity.WARNING, "IF003", "safe mark on proxy 'P' declassifies no flow"),
+    Diagnostic(Severity.ERROR, "RC002", 'WebView "w" has no trust-patterns whitelist', SourceSpan("a.sbd", 2, 1)),
+    Diagnostic(Severity.ERROR, "IF001", "untrusted value reaches 'naïve@S' from 'y@S'",
+               SourceSpan('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
+                                                            qualify("naïve", "S"))),
+]
+
+
+class Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+def record(d):
+    """The machine record of a finding, as a dict."""
+    return {
+        "severity": d.severity.value,
+        "code": d.code,
+        "file": d.span.file if d.span else None,
+        "line": d.span.line if d.span else None,
+        "col": d.span.column if d.span else None,
+        "message": d.message,
+        "witness": [str(q) for q in d.witness],
+    }
+
+
+class TestEmission:
+    def test_machine_lines_are_json_dumps_of_the_record(self):
+        out = Writes()
+        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "machine", out)
+        assert out.getvalue() == "".join(json.dumps(record(d)) + "\n" for d in HAND_BUILT)
+        assert out.calls == 1
+
+    def test_human_color_output(self, monkeypatch):
+        monkeypatch.setenv("SBC_COLOR", "1")
+        out = Writes()
+        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "human", out)
+        assert out.getvalue() == (
+            "\x1b[33mwarning IF003 - safe mark on proxy 'P' declassifies no flow\x1b[0m\n"
+            '\x1b[31merror RC002 a.sbd:2:1 WebView "w" has no trust-patterns whitelist\x1b[0m\n'
+            '\x1b[31merror IF001 dir "q"\\é.sbd:3:7 untrusted value reaches \'naïve@S\' from \'y@S\'\n'
+            "    flow: y@S -> f -> naïve@S\x1b[0m\n"
+        )
+        assert out.calls == 1
+
+    def test_nothing_to_emit_writes_nothing(self):
+        out = Writes()
+        cli.emit_diagnostics([], "machine", out)
+        cli.emit_diagnostics([], "human", out)
+        assert out.calls == 0
 
 
 class TestMachineFormat:
@@ -317,6 +377,8 @@ class TestDeepNesting:
 class TestFuzz:
     """Malformed input of any kind gets a diagnostic and exit 2, never a traceback."""
 
+    SEPARATORS = [" ", "", "\n"]
+
     def check(self, capsys, path):
         code, out, err = run(capsys, "check", str(path))
         assert code in (0, 1, 2)
@@ -329,7 +391,7 @@ class TestFuzz:
         rng = random.Random(1)
         p = tmp_path / "soup.sbd"
         for _ in range(300):
-            words = [rng.choice(WORDS) + rng.choice(SEPARATORS) for _ in range(rng.randint(0, 60))]
+            words = [rng.choice(WORDS) + rng.choice(self.SEPARATORS) for _ in range(rng.randint(0, 60))]
             p.write_text(rng.choice(['app "a" screen S { ', ""]) + "".join(words), encoding="utf-8")
             self.check(capsys, p)
 

@@ -1,7 +1,7 @@
 """Security rule checks RC001-RC006."""
 
 import pytest
-from conftest import load_fixture, parse_text
+from conftest import FIXTURES, load_fixture, parse_text
 
 from sbc import rules
 from sbc.model import Severity
@@ -12,7 +12,7 @@ def rule_fixture(name):
 
 
 def findings_of(model):
-    return [(f.code, f.severity.value) for f in rules.check_all(model).findings]
+    return [(f.code, f.severity.value) for f in rules.check_all(model)]
 
 
 @pytest.mark.parametrize(
@@ -99,28 +99,28 @@ class TestHttp:
 
 class TestCheckAll:
     def test_browser_blocking(self, browser):
-        report = rules.check_all(browser)
-        assert report.blocking
-        assert any(f.code == "RC002" for f in report.findings)
+        found = rules.check_all(browser)
+        assert any(f.severity is Severity.ERROR for f in found)
+        assert any(f.code == "RC002" for f in found)
 
     def test_messenger_clean(self, messenger):
-        report = rules.check_all(messenger)
-        assert report.findings == () and not report.blocking
+        assert rules.check_all(messenger) == []
 
     def test_warnings_do_not_block(self):
-        report = rules.check_all(rule_fixture("rc003_pos"))
-        assert [f.severity for f in report.findings] == [Severity.WARNING]
-        assert not report.blocking
+        found = rules.check_all(rule_fixture("rc003_pos"))
+        assert [f.severity for f in found] == [Severity.WARNING]
 
-    def test_concatenation_of_individual_checks(self, browser):
-        individual = (
-            rules.check_access_control(browser)
-            + rules.check_webview_whitelist(browser)
-            + rules.check_cert_pinning(browser)
-            + rules.check_cipher_keys(browser)
-            + rules.check_http_use(browser)
-        )
-        assert list(rules.check_all(browser).findings) == individual
+    def test_concatenation_of_individual_checks(self):
+        for path in sorted(FIXTURES.rglob("*.sbd")):
+            m = load_fixture(str(path.relative_to(FIXTURES)))
+            individual = (
+                rules.check_access_control(m)
+                + rules.check_webview_whitelist(m)
+                + rules.check_cert_pinning(m)
+                + rules.check_cipher_keys(m)
+                + rules.check_http_use(m)
+            )
+            assert rules.check_all(m) == individual, path.name
 
     def test_rules_independent(self):
         # removing the RC002 trigger leaves RC003 untouched
