@@ -5,15 +5,16 @@
 
 The corpus is seeded and built in memory: the fixtures; `modelgen.gen_model`
 seeds 10000-10299, formatted by `format_model`, and two copies of each with
-one word renamed (most of them ill-formed); the benchmark's boards
+one word renamed (most of them fail to parse or to validate); the boards
 (`sbdgen.dense_ladder(24, 1)`, `sparse_app(80, 1)` and `ring_run(60, 300, 1)`
 with its scenario); and 1,500 mutants of the fixtures, edited as the CLI fuzz
 tests edit them.  Each input runs through `run_cli` in-process, in a scratch
 directory and under relative paths, so the output does not depend on where
-the gate runs.  The fixtures, models and boards run under `check`,
-`analyze` and `fmt` (human and machine formats) and `generate`; the
-fixtures also run `simulate` with every fixture scenario, and the ring with
-its own.  Renamed models run `check`, mutants `analyze --format machine`.
+the gate runs.  The fixtures and boards run `check` and `analyze`, each in
+both formats, `fmt` and `generate`; the fixtures also run `simulate` with
+every fixture scenario, and the ring with its own.  The models run the same
+commands except `check`, which prints nothing for a well-formed model.  Renamed
+models run `check`, and mutants `analyze --format machine`.
 
 golden.json holds, per input, a digest of the input itself (so that drift in
 a generator shows as a corpus change, not an output change) and one digest
@@ -93,8 +94,8 @@ def mutate(rng: random.Random, corpus: list[str]) -> str:
 
 
 def rename(rng: random.Random, text: str) -> str:
-    """The text with one word replaced by a word that occurs in it; this
-    mostly keeps it parseable and breaks its well-formedness."""
+    """The text with one word replaced by a word that occurs in it, which
+    often leaves it ill-formed (several WF findings on one line among them)."""
     spans = [m.span() for m in WORD.finditer(text)]
     i, j = rng.choice(spans)
     return text[:i] + rng.choice(sorted({text[a:b] for a, b in spans})) + text[j:]
