@@ -7,14 +7,17 @@ The corpus is seeded and built in memory: the fixtures; `modelgen.gen_model`
 seeds 10000-10299, formatted by `format_model`, and two copies of each with
 one word renamed (most of them fail to parse or to validate); the boards
 (`sbdgen.dense_ladder(24, 1)`, `sparse_app(80, 1)` and `ring_run(60, 300, 1)`
-with its scenario); and 1,500 mutants of the fixtures, edited as the CLI fuzz
-tests edit them.  Each input runs through `run_cli` in-process, in a scratch
+with its scenario); 1,500 mutants of the fixtures, edited as the CLI fuzz
+tests edit them; and 300 mutants of the fixture scenarios and of the ring
+scenario's first lines, with quotes, escapes, `#`, `=`, `->` and quoted blanks
+spliced in.  Each input runs through `run_cli` in-process, in a scratch
 directory and under relative paths, so the output does not depend on where
 the gate runs.  The fixtures and boards run `check` and `analyze`, each in
 both formats, `fmt` and `generate`; the fixtures also run `simulate` with
 every fixture scenario, and the ring with its own.  The models run the same
 commands except `check`, which prints nothing for a well-formed model.  Renamed
-models run `check`, and mutants `analyze --format machine`.
+models run `check`, mutants `analyze --format machine`, and scenario mutants
+`simulate fixtures/messenger.sbd --scenario`.
 
 golden.json holds, per input, a digest of the input itself (so that drift in
 a generator shows as a corpus change, not an output change) and one digest
@@ -63,8 +66,19 @@ WORDS = ["app", "screen", "start", "proxy", "resource", "access", "own", "capabi
          "TextView", "WebView", "click", "S", "f", "a-b", "12", "12ab", "{", "}", "(", ")", "[", "]", "=", ",",
          ".", '"s"', '"a\\"b"', '"\\', '"', "\\", "#c", "\n", "\r\n", "\t", "²", "é", '"é²"', "-", "@"]
 
+# Words and whole lines the scenario mutants splice in (the scenario fuzz
+# tests use them too).
+SCENARIO_WORDS = ['"', '\\"', "\\", "\\\\", "#", "# c", "=", "->", '" "', '"a b"', '"a#b"', '"a\\"b"', '"\\\\"',
+                  'y="0 1"', 'y="#"', " ", "\t", "\n", "launch", "uri", "click", "swipe", "drag", "op", "env", "stop",
+                  "true", "false", "Save", "Add", "savePhone", "dispMsg", "y", "é"]
+SCENARIO_LINES = ['launch uri "app://contacts/{y}" y="01 23"', 'env y="a b"', 'op savePhone -> "a#b"',
+                  'op dispMsg -> "a\\"b"', "click Save # comment", 'op dispMsg -> "x y" # z', 'env y="#\\\\"',
+                  'op savePhone -> "a" "b"', 'op savePhone -> "a"b', "op dispMsg -> 'a b'"]
+
 MODEL_SEEDS = range(10000, 10300)
 MUTANTS = 1500
+SCENARIO_MUTANTS = 300
+RING_LINES = 24  # the ring scenario's lines that seed scenario mutants
 RENAMES = 2  # renamed copies of each model
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -76,11 +90,13 @@ COMMANDS = {
     "analyze-machine": lambda p: ["analyze", "--format", "machine", p],
     "fmt": lambda p: ["fmt", p],
     "generate": lambda p: ["generate", p, "-o", "out"],
+    "simulate-messenger": lambda p: ["simulate", "fixtures/messenger.sbd", "--scenario", p],
 }
-FULL = tuple(COMMANDS)
+FULL = ("check", "check-machine", "analyze", "analyze-machine", "fmt", "generate")
 MODEL_COMMANDS = ("analyze", "analyze-machine", "fmt", "generate")  # models are well-formed: check prints nothing
 MUTANT_COMMANDS = ("analyze-machine",)
 RENAMED_COMMANDS = ("check",)
+SCENARIO_COMMANDS = ("simulate-messenger",)
 
 
 def mutate(rng: random.Random, corpus: list[str]) -> str:
@@ -90,6 +106,18 @@ def mutate(rng: random.Random, corpus: list[str]) -> str:
         i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
         text = rng.choice([text[:i] + text[j:], text[:i] + rng.choice(WORDS) + text[i:],
                            text[:i] + "not " * rng.randint(1, 3000) + text[i:]])
+    return text
+
+
+def mutate_scenario(rng: random.Random, scenarios: list[str]) -> str:
+    """One scenario text with one to three edits: a short deletion, a word
+    inserted anywhere, or a line inserted at a line start."""
+    text = rng.choice(scenarios)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        k = rng.choice([0] + [m.end() for m in re.finditer("\n", text)])
+        text = rng.choice([text[:i] + text[i + rng.randint(1, 8):], text[:i] + rng.choice(SCENARIO_WORDS) + text[i:],
+                           text[:k] + rng.choice(SCENARIO_LINES) + "\n" + text[k:]])
     return text
 
 
@@ -124,6 +152,10 @@ def corpus() -> list[tuple[str, str, tuple[str, ...], dict[str, str]]]:
     texts = [p.read_text(encoding="utf-8") for p in fixtures]
     for i in range(MUTANTS):
         out.append((f"mutants/{i:04d}.sbd", mutate(rng, texts), MUTANT_COMMANDS, {}))
+    rng = random.Random(13)
+    bases = [*scenarios.values(), "\n".join(ring.scenario.splitlines()[:RING_LINES]) + "\n"]
+    for i in range(SCENARIO_MUTANTS):  # fixtures/messenger.sbd is written by then
+        out.append((f"scenarios/{i:04d}.scn", mutate_scenario(rng, bases), SCENARIO_COMMANDS, {}))
     return out
 
 
