@@ -80,16 +80,22 @@ def emit_diagnostics(findings: list[Diagnostic], fmt: str, stream=None) -> None:
         stream.write("\n".join(lines))
 
 
-def _load_model(path: str, fmt: str) -> Optional[AppModel]:
-    """The parsed model; None, with the reason printed, if there is none."""
+def _read_text(path: str) -> Optional[str]:
+    """The file's text; None, with the reason printed, if it cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
-        return None
     except UnicodeDecodeError:
         print(f"error: cannot read {path}: not valid UTF-8", file=sys.stderr)
+    return None
+
+
+def _load_model(path: str, fmt: str) -> Optional[AppModel]:
+    """The parsed model; None, with the reason printed, if there is none."""
+    text = _read_text(path)
+    if text is None:
         return None
     outcome = syntax.parse(text, path)
     if not outcome.ok:
@@ -143,33 +149,33 @@ def _cmd_analyze(args) -> int:
     return _per_file(args, one)
 
 
+def _store_text(values: dict) -> str:
+    return ", ".join(f"{k}={v.payload!r}" for k, v in sorted(values.items()))
+
+
 def _cmd_simulate(args) -> int:
-    try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            scenario = interp.parse_scenario(fh.read(), args.scenario)
-    except (OSError, interp.ScenarioError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    if args.budget < 0:
+        print(f"error: --budget must not be negative: {args.budget}", file=sys.stderr)
         return EXIT_FAILURE
-    except UnicodeDecodeError:
-        print(f"error: cannot read {args.scenario}: not valid UTF-8", file=sys.stderr)
+    text = _read_text(args.scenario)
+    if text is None:
+        return EXIT_FAILURE
+    try:
+        scenario = interp.parse_scenario(text, args.scenario)
+    except interp.ScenarioError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
 
     def one(path):
         model, findings, code = _full_analysis(path, args)
         if model is None or any(d.code.startswith("WF") for d in findings):
             return code
-        budget = args.budget if args.budget else len(scenario.gestures) + 3
-        trace = interp.run(model, scenario, step_budget=budget)
-        for rule, config in trace.steps:
-            if config.terminal:
-                print(f"{rule}: <terminal>")
-            else:
-                store = ", ".join(f"{q}={v.payload!r}" for q, v in sorted(config.sigma.items()))
-                print(f"{rule}: {config.current} [{store}]")
-        for ev in trace.events:
-            if ev[0] == "proxy-exit":
-                outbound = ", ".join(f"{k}={v.payload!r}" for k, v in sorted(ev[2].items()))
-                print(f"proxy-exit {ev[1]} [{outbound}]")
+        trace = interp.run(model, scenario, step_budget=args.budget or len(scenario.gestures) + 3)
+        lines = [f"{rule}: <terminal>" if c.terminal else f"{rule}: {c.current} [{_store_text(c.sigma)}]"
+                 for rule, c in trace.steps]
+        lines += [f"proxy-exit {ev[1]} [{_store_text(ev[2])}]" for ev in trace.events if ev[0] == "proxy-exit"]
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
         if trace.error:
             print(f"error: scenario failed: {trace.error}", file=sys.stderr)
             return EXIT_FAILURE

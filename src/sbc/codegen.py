@@ -169,7 +169,7 @@ def generate_screen_unit(model: AppModel, screen: Screen) -> GeneratedUnit:
         lines.append("")
 
     by_action: dict[Optional[tuple], list] = {}
-    for t in sorted(screen.transitions, key=lambda t: t.order):
+    for t in screen.ordered_transitions:
         by_action.setdefault(t.user_action, []).append(t)
 
     def emit_chain(transitions):

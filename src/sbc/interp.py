@@ -1,4 +1,4 @@
-"""Scenario-driven execution of storyboards.
+r"""Scenario-driven execution of storyboards.
 
 A run starts from a launch configuration, repeatedly extends the value store
 with the current screen's widget bindings, and takes the first transition
@@ -14,6 +14,11 @@ Scenario files (`.scn`) are line-oriented:
     env <param>="<string>"
     stop
 
+Words are separated by spaces and tabs.  A quoted run `"..."` belongs to its
+word even when it holds blanks or `#`, and in a quoted string `\"` stands for
+a quote and `\\` for a backslash.  A `#` outside quotes starts a comment that
+runs to the end of the line; a quote left open is an error.
+
 `op` results are consumed in order per operation name; `stop` backgrounds the
 app after the preceding gestures have been processed.
 """
@@ -21,9 +26,8 @@ app after the preceding gestures have been processed.
 from __future__ import annotations
 
 import re
-import shlex
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .infoflow import _op_source_untrusted
 from .model import (
@@ -44,7 +48,6 @@ from .model import (
     WidgetRef,
     builtin_cap,
     parse_uri,
-    qualify,
     start_screen,
 )
 
@@ -53,16 +56,14 @@ class ScenarioError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     payload: str
     taint: frozenset[QualifiedId] = frozenset()
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     current: Optional[str]  # None = terminal
-    sigma: dict[QualifiedId, Value] = field(default_factory=dict)
+    sigma: dict[QualifiedId, Value]
 
     @property
     def terminal(self) -> bool:
@@ -83,11 +84,20 @@ class Scenario:
 
 
 _GESTURES = {g.value: g for g in Gesture}
-_KV = re.compile(r'^(\w+)="((?:[^"\\]|\\.)*)"$')
+# A word is a run of characters other than blanks, quotes and `#`, and of
+# closed quoted runs; `#` outside quotes starts a comment; a lone `"` is a
+# quote that is never closed.
+_WORD = re.compile(r'(?:[^ \t"#]|"(?:[^"\\]|\\.)*")+|#.*|"')
+_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_KV = re.compile(r'(\w+)=' + _STRING.pattern)
 
 
 def _unescape(s: str) -> str:
     return s.replace('\\"', '"').replace("\\\\", "\\")
+
+
+def _bad(file: str, lineno: int, msg: str) -> ScenarioError:
+    return ScenarioError(f"{file}:{lineno}: {msg}")
 
 
 def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
@@ -97,54 +107,52 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
     op_results: list[tuple[str, Union[str, bool]]] = []
     uri_env: list[tuple[str, str]] = []
     stop_after = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    plain = text.isascii() and "\x1f" not in text  # then str.split() splits on blanks alone
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if plain and '"' not in line and "#" not in line:
+            words = line.split()
+        else:
+            words = _WORD.findall(line)
+            if words and words[-1][0] == "#":
+                words.pop()
+        if not words:
             continue
-
-        def bad(msg):
-            return ScenarioError(f"{file}:{lineno}: {msg}")
-
-        try:
-            words = shlex.split(line, posix=False)
-        except ValueError as e:
-            raise bad(str(e))
+        if '"' in words:
+            raise _bad(file, lineno, "No closing quotation")
         head = words[0]
-        if head == "launch":
-            if len(words) >= 2:
-                if words[1] != "uri" or len(words) < 3:
-                    raise bad("expected: launch uri \"...\"")
-                launch_uri = words[2].strip('"')
-                for w in words[3:]:
-                    m = _KV.match(w)
-                    if not m:
-                        raise bad(f"bad launch argument {w!r}")
-                    launch_args.append((m.group(1), _unescape(m.group(2))))
-        elif head in _GESTURES:
+        if head in _GESTURES:
             if len(words) != 2:
-                raise bad(f"expected: {head} <Widget>")
+                raise _bad(file, lineno, f"expected: {head} <Widget>")
             gestures.append((words[1], _GESTURES[head]))
         elif head == "op":
             if len(words) != 4 or words[2] != "->":
-                raise bad('expected: op <name> -> "<string>"|true|false')
+                raise _bad(file, lineno, 'expected: op <name> -> "<string>"|true|false')
             res = words[3]
-            if res == "true":
-                op_results.append((words[1], True))
-            elif res == "false":
-                op_results.append((words[1], False))
-            elif res.startswith('"') and res.endswith('"'):
-                op_results.append((words[1], _unescape(res[1:-1])))
+            if res == "true" or res == "false":
+                op_results.append((words[1], res == "true"))
+            elif m := _STRING.fullmatch(res):
+                op_results.append((words[1], _unescape(m[1])))
             else:
-                raise bad(f"bad operation result {res!r}")
+                raise _bad(file, lineno, f"bad operation result {res!r}")
+        elif head == "launch":
+            if len(words) >= 2:
+                if words[1] != "uri" or len(words) < 3:
+                    raise _bad(file, lineno, "expected: launch uri \"...\"")
+                launch_uri = words[2].strip('"')
+                for w in words[3:]:
+                    m = _KV.fullmatch(w)
+                    if not m:
+                        raise _bad(file, lineno, f"bad launch argument {w!r}")
+                    launch_args.append((m[1], _unescape(m[2])))
         elif head == "env":
-            m = _KV.match(words[1]) if len(words) == 2 else None
+            m = _KV.fullmatch(words[1]) if len(words) == 2 else None
             if not m:
-                raise bad('expected: env <param>="<string>"')
-            uri_env.append((m.group(1), _unescape(m.group(2))))
+                raise _bad(file, lineno, 'expected: env <param>="<string>"')
+            uri_env.append((m[1], _unescape(m[2])))
         elif head == "stop":
             stop_after = len(gestures) + 1
         else:
-            raise bad(f"unknown directive {head!r}")
+            raise _bad(file, lineno, f"unknown directive {head!r}")
     return Scenario(launch_uri, tuple(launch_args), tuple(gestures), tuple(op_results), tuple(uri_env), stop_after)
 
 
@@ -180,7 +188,6 @@ class ScenarioState:
 @dataclass
 class Trace:
     steps: list[tuple[str, Configuration]]
-    taint_pairs: set[tuple[QualifiedId, QualifiedId]]
     events: list[tuple] = field(default_factory=list)
     error: Optional[str] = None
 
@@ -199,9 +206,9 @@ def resolve_value(
     if isinstance(binding, Literal):
         return Value(binding.text)
     if isinstance(binding, WidgetRef):
-        return config.sigma.get(qualify(binding.name, screen))
+        return config.sigma.get(QualifiedId(binding.name, screen))
     if isinstance(binding, ParamRef):
-        q = qualify(binding.name, screen)
+        q = QualifiedId(binding.name, screen)
         v = config.sigma.get(q)
         if v is not None:
             return v
@@ -238,7 +245,7 @@ def eval_operation(
         if v is not None:
             taint |= v.taint
     if _op_source_untrusted(model, op):
-        taint.add(qualify(op.name, OPERATION))
+        taint.add(QualifiedId(op.name, OPERATION))
     ordinal, res = state.next_result(op.name)
     if res is None:
         res = True if as_bool else f"<{op.name}#{ordinal}>"
@@ -264,9 +271,7 @@ def eval_bool(
             model, screen, expr.right, config, state
         )
     if isinstance(expr, BOr):
-        return eval_bool(model, screen, expr.left, config, state) or eval_bool(
-            model, screen, expr.right, config, state
-        )
+        return eval_bool(model, screen, expr.left, config, state) or eval_bool(model, screen, expr.right, config, state)
     if isinstance(expr, BNot):
         return not eval_bool(model, screen, expr.inner, config, state)
     raise TypeError(expr)
@@ -286,14 +291,10 @@ def init_app(model: AppModel, scenario: Scenario) -> Configuration:
             for k, v in scenario.launch_args:
                 if k not in s.all_params:
                     raise ScenarioError(f"launch argument '{k}' is not a parameter of screen '{s.name}'")
-                q = qualify(k, s.name)
+                q = QualifiedId(k, s.name)
                 sigma[q] = Value(v, frozenset({q}))
             return Configuration(s.name, sigma)
     raise ScenarioError(f"no screen exports URI '{scenario.launch_uri}'")
-
-
-def _store(sigma: dict, holder: QualifiedId, value: Value):
-    sigma[holder] = Value(value.payload, value.taint | {holder})
 
 
 def step(
@@ -308,22 +309,23 @@ def step(
         return TERMINAL, "stop", []
 
     screen = model.screen(config.current)
+    name = screen.name
     sigma = dict(config.sigma)
+    extended = Configuration(name, sigma)
 
-    # widget extension: (re)bind every widget of the current screen
+    # widget extension: (re)bind every widget of the current screen, in order
     for w in screen.widgets:
-        v = resolve_value(model, screen.name, w.value, Configuration(screen.name, sigma), state)
+        v = resolve_value(model, name, w.value, extended, state)
         if v is not None:
-            _store(sigma, qualify(w.id, screen.name), v)
-    extended = Configuration(screen.name, sigma)
+            holder = QualifiedId(w.id, name)
+            sigma[holder] = Value(v.payload, v.taint | {holder})
 
     gesture = state.peek_gesture()
     fired = None
-    for t in sorted(screen.transitions, key=lambda t: t.order):
-        if t.user_action is not None:
-            if gesture is None or gesture != (t.user_action[0], t.user_action[1]):
-                continue
-        if t.guard is not None and not eval_bool(model, screen.name, t.guard, extended, state):
+    for t in screen.ordered_transitions:
+        if t.user_action is not None and t.user_action != gesture:
+            continue
+        if t.guard is not None and not eval_bool(model, name, t.guard, extended, state):
             continue
         fired = t
         break
@@ -336,9 +338,9 @@ def step(
     # compute destination bindings against the pre-transition store
     bound: dict[QualifiedId, Value] = {}
     for b in fired.bindings:
-        v = resolve_value(model, screen.name, b.value, extended, state)
+        v = resolve_value(model, name, b.value, extended, state)
         if v is not None:
-            target = qualify(b.target, fired.dest)
+            target = QualifiedId(b.target, fired.dest)
             bound[target] = Value(v.payload, v.taint | {target})
 
     if model.proxy(fired.dest) is not None:
@@ -346,34 +348,26 @@ def step(
         event = ("proxy-exit", fired.dest, {str(q): v for q, v in bound.items()})
         return TERMINAL, "proxy-exit", [event]
 
-    if fired.dest == screen.name:
+    if fired.dest == name:
         # self-transition: parameters survive, widget entries are cleared
-        widget_ids = {qualify(w.id, screen.name) for w in screen.widgets}
-        new_sigma = {q: v for q, v in sigma.items() if q not in widget_ids}
-        new_sigma.update(bound)
-        return Configuration(screen.name, new_sigma), "self-transition", []
+        widget_ids = {QualifiedId(w.id, name) for w in screen.widgets}
+        new_sigma = {q: v for q, v in sigma.items() if q not in widget_ids} | bound
+        return Configuration(name, new_sigma), "self-transition", []
 
     return Configuration(fired.dest, bound), "transition", []
-
-
-def _observe(trace: Trace, config: Configuration):
-    for holder, value in config.sigma.items():
-        for origin in value.taint:
-            trace.taint_pairs.add((origin, holder))
 
 
 def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
     if step_budget < 1:
         raise ValueError("step budget must be at least 1")
     state = ScenarioState(scenario)
-    trace = Trace([], set())
+    trace = Trace([])
     try:
         config = init_app(model, scenario)
     except ScenarioError as e:
         trace.error = str(e)
         return trace
     trace.steps.append(("init", config))
-    _observe(trace, config)
     try:
         for _ in range(step_budget):
             if config.terminal:
@@ -381,15 +375,6 @@ def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
             config, rule, events = step(model, config, state)
             trace.steps.append((rule, config))
             trace.events.extend(events)
-            for ev in events:
-                if ev[0] == "proxy-exit":
-                    for name, value in ev[2].items():
-                        base, _, owner = name.partition("@")
-                        holder = QualifiedId(base, owner or OPERATION)
-                        for origin in value.taint:
-                            trace.taint_pairs.add((origin, holder))
-            _observe(trace, config)
     except ScenarioError as e:
         trace.error = str(e)
     return trace
-

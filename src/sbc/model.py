@@ -247,6 +247,11 @@ class Screen:
         extra = tuple(p for p in self.uri_params if p not in self.params)
         return self.params + extra
 
+    @cached_property
+    def ordered_transitions(self) -> tuple[Transition, ...]:
+        """The transitions sorted by order index, the order they are tried in."""
+        return tuple(sorted(self.transitions, key=lambda t: t.order))
+
     def widget(self, wid: str) -> Optional[Widget]:
         for w in self.widgets:
             if w.id == wid:
@@ -600,7 +605,7 @@ def out_transitions(model: AppModel, screen: str) -> list[Transition]:
     s = model.screen(screen)
     if s is None:
         raise KeyError(f"unknown screen '{screen}'")
-    return sorted(s.transitions, key=lambda t: t.order)
+    return list(s.ordered_transitions)
 
 
 def start_screen(model: AppModel) -> str:

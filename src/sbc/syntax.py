@@ -622,7 +622,7 @@ def format_model(model: AppModel) -> str:
                 + f"{w.kind.value} {w.id} = {_fmt_value(w.value)}"
                 + _fmt_attrs(w.attributes)
             )
-        for t in sorted(s.transitions, key=lambda t: t.order):
+        for t in s.ordered_transitions:
             line = f"  transition {t.id} order {t.order} dest {t.dest}"
             if t.user_action is not None or t.guard is not None:
                 line += " cond "

@@ -1,12 +1,15 @@
 """Command-line driver: exit codes, output formats, file handling."""
 
+import errno
 import io
 import json
+import os
 import random
+import re
 
 import pytest
 from conftest import FIXTURES, ILL_FORMED
-from golden import WORDS, mutate
+from golden import SCENARIO_WORDS, WORDS, mutate, mutate_scenario
 
 from sbc import cli, codegen, infoflow, interp, model, rules, syntax
 from sbc.model import OPERATION, Diagnostic, Severity, SourceSpan, qualify, validate
@@ -195,6 +198,42 @@ class TestSimulate:
         step_lines = [ln for ln in out_small.splitlines()
                       if ln.startswith(("init:", "transition:", "self-transition:", "stop:", "idle:"))]
         assert len(step_lines) == 2  # the launch snapshot plus one step
+
+
+    @pytest.mark.parametrize("model, text, shown", [
+        ("messenger.sbd", 'launch uri "app://contacts/{y}" y="01 23"\nclick Save\nop savePhone -> true\n',
+         "transition: SaveStatus [x@SaveStatus='01 23']"),
+        ("messenger_safe.sbd", 'env y="a b"\nlaunch\nclick Add\nclick Save\nop savePhone -> true\n',
+         "transition: SaveStatus [x@SaveStatus='a b']"),
+        ("messenger.sbd", 'launch uri "app://contacts/{y}" y="0"\nclick Save\nop savePhone -> "a#b"\n',
+         "no-transition: Contacts"),
+        ("messenger_safe.sbd", 'launch uri "app://contacts/{y}" y="0"\nclick Save # saves\nop savePhone -> true\n'
+         'op dispMsg -> "a\\"b"\n', """no-transition: SaveStatus [Status@SaveStatus='a"b', x@SaveStatus='0']"""),
+    ], ids=["blank-in-launch-argument", "blank-in-env", "hash-in-result", "escaped-quote-and-comment"])
+    def test_quoted_scenario_words(self, capsys, tmp_path, model, text, shown):
+        p = tmp_path / "quoted.scn"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "simulate", fixture(model), "--scenario", str(p))
+        assert code == (1 if model == "messenger.sbd" else 0) and err == ""
+        assert any(line.startswith(shown) for line in out.splitlines())
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", fixture("messenger.sbd"),
+                             "--scenario", str(FIXTURES / "scenarios" / "messenger_uri.scn"), "--budget", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --budget must not be negative: -1\n"
+
+    def test_zero_budget_is_the_default(self, capsys):
+        scenario = str(FIXTURES / "scenarios" / "messenger_uri.scn")
+        default = run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", scenario)
+        assert run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", scenario, "--budget", "0") == default
+
+    @pytest.mark.parametrize("what, code", [("directory", errno.EISDIR), ("missing", errno.ENOENT)])
+    def test_unreadable_scenario_path(self, capsys, tmp_path, what, code):
+        path = str(tmp_path if what == "directory" else tmp_path / "no.scn")
+        status, out, err = run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", path)
+        assert status == 2 and out == ""
+        assert err == f"error: cannot read {path}: {os.strerror(code)}\n"
 
 
 class TestGenerate:
@@ -408,4 +447,32 @@ class TestFuzz:
         p = tmp_path / "noise.sbd"
         for _ in range(200):
             p.write_bytes(bytes(rng.randrange(256) for _ in range(rng.randint(0, 200))))
+            self.check(capsys, p)
+
+
+class TestScenarioFuzz:
+    """A malformed scenario gets a located error and exit 2, never a traceback."""
+
+    SEPARATORS = [" ", "", "\n", "\t"]
+
+    def check(self, capsys, path):
+        code, out, err = run(capsys, "simulate", fixture("messenger_safe.sbd"), "--scenario", str(path))
+        assert code in (0, 2)
+        if code == 2:
+            assert re.match(rf"error: ({re.escape(str(path))}:\d+: |cannot read |scenario failed: )", err), err
+
+    def test_token_soup(self, capsys, tmp_path):
+        rng = random.Random(4)
+        p = tmp_path / "soup.scn"
+        for _ in range(300):
+            words = [rng.choice(SCENARIO_WORDS) + rng.choice(self.SEPARATORS) for _ in range(rng.randint(0, 30))]
+            p.write_text("".join(words), encoding="utf-8")
+            self.check(capsys, p)
+
+    def test_scenario_mutations(self, capsys, tmp_path):
+        rng = random.Random(5)
+        scenarios = [f.read_text(encoding="utf-8") for f in sorted((FIXTURES / "scenarios").glob("*.scn"))]
+        p = tmp_path / "mutant.scn"
+        for _ in range(300):
+            p.write_text(mutate_scenario(rng, scenarios), encoding="utf-8")
             self.check(capsys, p)

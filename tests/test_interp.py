@@ -1,7 +1,7 @@
 """Scenario parsing and the small-step interpreter."""
 
 import pytest
-from conftest import FIXTURES, load_fixture, parse_text
+from conftest import FIXTURES, load_fixture, parse_text, taint_pairs
 
 from modelgen import gen_model, gen_scenario
 from sbc import infoflow, interp
@@ -44,6 +44,36 @@ class TestScenarioParse:
     def test_bad_directive_rejected(self):
         with pytest.raises(interp.ScenarioError):
             interp.parse_scenario("jump X\n")
+
+    def test_quoted_blank_in_launch_argument(self):
+        s = interp.parse_scenario('launch uri "app://contacts/{y}" y="01 23"\n')
+        assert s.launch_uri == "app://contacts/{y}"
+        assert s.launch_args == (("y", "01 23"),)
+
+    def test_quoted_blank_in_env(self):
+        assert interp.parse_scenario('env y="a b"\n').uri_env == (("y", "a b"),)
+
+    def test_hash_inside_quotes_is_not_a_comment(self):
+        assert interp.parse_scenario('op savePhone -> "a#b"\n').op_results == (("savePhone", "a#b"),)
+
+    def test_escaped_quote_and_backslash_in_result(self):
+        s = interp.parse_scenario('op x -> "a\\"b"\nop y -> "c\\\\"\n')
+        assert s.op_results == (("x", 'a"b'), ("y", "c\\"))
+
+    def test_trailing_comment(self):
+        s = interp.parse_scenario('click Save # then save\nop x -> "v" # scripted\n# whole line\n')
+        assert s.gestures == (("Save", Gesture.CLICK),)
+        assert s.op_results == (("x", "v"),)
+
+    def test_words_split_on_spaces_and_tabs_only(self):
+        assert interp.parse_scenario("click\t Save \n").gestures == (("Save", Gesture.CLICK),)
+        with pytest.raises(interp.ScenarioError, match="unknown directive 'click\\\\xa0Save'"):
+            interp.parse_scenario("click\xa0Save\n")
+
+    @pytest.mark.parametrize("line", ['op x -> "ab', 'op x -> "a\\"', 'click Sa"ve', 'env y="a b'])
+    def test_unclosed_quote_is_located(self, line):
+        with pytest.raises(interp.ScenarioError, match=r"^run\.scn:2: No closing quotation$"):
+            interp.parse_scenario(f"click Save\n{line}\n", "run.scn")
 
 
 class TestInit:
@@ -214,15 +244,15 @@ class TestRun:
     def test_taint_pairs_within_closure(self, messenger):
         t = interp.run(messenger, scn("messenger_uri.scn"), step_budget=6)
         cl = infoflow.closure(infoflow.build_influences(messenger)).pairs
-        assert t.taint_pairs <= set(cl)
-        assert (q("y@Contacts"), q("x@SaveStatus")) in t.taint_pairs
+        assert taint_pairs(t) <= set(cl)
+        assert (q("y@Contacts"), q("x@SaveStatus")) in taint_pairs(t)
 
     def test_literal_only_model_no_cross_taint(self):
         # storing adds the holder itself to the taint, so only reflexive
         # pairs may appear when every value is a literal
         m = parse_text('app "a" screen S { TextView T = "hi" }')
         t = interp.run(m, Scenario(), step_budget=3)
-        assert all(a == b for a, b in t.taint_pairs)
+        assert all(a == b for a, b in taint_pairs(t))
 
     def test_deterministic(self, messenger):
         a = interp.run(messenger, scn("messenger_uri.scn"), step_budget=6)
