@@ -175,7 +175,8 @@ def _cmd_simulate(args) -> int:
                  for rule, c in trace.steps]
         lines += [f"proxy-exit {ev[1]} [{_store_text(ev[2])}]" for ev in trace.events if ev[0] == "proxy-exit"]
         if lines:
-            sys.stdout.write("\n".join(lines) + "\n")
+            lines.append("")  # the last line's newline
+            sys.stdout.write("\n".join(lines))
         if trace.error:
             print(f"error: scenario failed: {trace.error}", file=sys.stderr)
             return EXIT_FAILURE
