@@ -16,8 +16,9 @@ the gate runs.  The fixtures and boards run `check` and `analyze`, each in
 both formats, `fmt` and `generate`; the fixtures also run `simulate` with
 every fixture scenario, and the ring with its own.  The models run the same
 commands except `check`, which prints nothing for a well-formed model.  Renamed
-models run `check`, mutants `analyze --format machine`, and scenario mutants
-`simulate fixtures/messenger.sbd --scenario`.
+models run `check`, mutants `analyze --format machine`, scenario mutants
+`simulate fixtures/messenger.sbd --scenario`, and reordered models `check` and
+`analyze`, both in machine format.
 
 golden.json holds, per input, a digest of the input itself (so that drift in
 a generator shows as a corpus change, not an output change) and one digest
@@ -80,7 +81,9 @@ MUTANTS = 1500
 SCENARIO_MUTANTS = 300
 RING_LINES = 24  # the ring scenario's lines that seed scenario mutants
 RENAMES = 2  # renamed copies of each model
+REORDERED = 200
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+WIDGET = re.compile(r"  (?:safe )?[A-Z]\w* ([A-Za-z_][\w-]*) = ")  # a widget line of a formatted screen
 
 # command name -> argv, given the input path; generate adds its output directory
 COMMANDS = {
@@ -97,6 +100,7 @@ MODEL_COMMANDS = ("analyze", "analyze-machine", "fmt", "generate")  # models are
 MUTANT_COMMANDS = ("analyze-machine",)
 RENAMED_COMMANDS = ("check",)
 SCENARIO_COMMANDS = ("simulate-messenger",)
+REORDERED_COMMANDS = ("check-machine", "analyze-machine")
 
 
 def mutate(rng: random.Random, corpus: list[str]) -> str:
@@ -129,6 +133,35 @@ def rename(rng: random.Random, text: str) -> str:
     return text[:i] + rng.choice(sorted({text[a:b] for a, b in spans})) + text[j:]
 
 
+def reorder(rng: random.Random, text: str, collide: bool) -> str:
+    """A formatted model with the top-level items of each screen body
+    shuffled; a transition keeps its binding block.  With collide, one widget
+    of the first screen that has parameters takes the name of one of them."""
+    out: list[str] = []
+    items: list[list[str]] | None = None
+    for line in text.split("\n"):
+        if items is None:
+            out.append(line)
+            if line.endswith(" {") and (line.startswith("screen ") or line.startswith("start screen ")):
+                items = []
+        elif line == "}":
+            params = [item[0][len("  param "):] for item in items if item[0].startswith("  param ")]
+            widgets = [m[1] for item in items if (m := WIDGET.match(item[0]))]
+            if collide and params and widgets:
+                word = re.compile(rf"(?<![\w-]){re.escape(rng.choice(widgets))}(?![\w-])")
+                new = rng.choice(params)
+                items = [[word.sub(new, x) for x in item] for item in items]
+                collide = False
+            rng.shuffle(items)
+            out += [x for item in items for x in item] + [line]
+            items = None
+        elif line.startswith("    ") or line == "  }":
+            items[-1].append(line)
+        else:
+            items.append([line])
+    return "\n".join(out)
+
+
 def corpus() -> list[tuple[str, str, tuple[str, ...], dict[str, str]]]:
     """(name, text, commands, scenarios by name) for every input, in a fixed order."""
     out = []
@@ -139,8 +172,10 @@ def corpus() -> list[tuple[str, str, tuple[str, ...], dict[str, str]]]:
         out.append((f"fixtures/{p.relative_to(FIXTURES).as_posix()}", p.read_text(encoding="utf-8"), FULL,
                     scenarios))
     rng = random.Random(11)
+    models = []
     for seed in MODEL_SEEDS:
         text = syntax.format_model(gen_model(seed))
+        models.append(text)
         out.append((f"models/{seed}.sbd", text, MODEL_COMMANDS, {}))
         for k in range(RENAMES):
             out.append((f"renamed/{seed}-{k}.sbd", rename(rng, text), RENAMED_COMMANDS, {}))
@@ -156,6 +191,11 @@ def corpus() -> list[tuple[str, str, tuple[str, ...], dict[str, str]]]:
     bases = [*scenarios.values(), "\n".join(ring.scenario.splitlines()[:RING_LINES]) + "\n"]
     for i in range(SCENARIO_MUTANTS):  # fixtures/messenger.sbd is written by then
         out.append((f"scenarios/{i:04d}.scn", mutate_scenario(rng, bases), SCENARIO_COMMANDS, {}))
+    rng = random.Random(17)
+    formatted = [syntax.format_model(syntax.parse(text).model) for text in texts]
+    for i in range(REORDERED):
+        text = reorder(rng, rng.choice(models if i % 2 else formatted), i % 4 == 1)
+        out.append((f"reordered/{i:04d}.sbd", text, REORDERED_COMMANDS, {}))
     return out
 
 

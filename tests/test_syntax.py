@@ -1,10 +1,12 @@
 """Lexer, parser, and canonical formatter."""
 
 import glob
+import random
 from pathlib import Path
 
 import pytest
 from conftest import FIXTURES, parse_text
+from golden import reorder
 from modelgen import gen_model
 
 from sbc import syntax
@@ -229,3 +231,13 @@ class TestRandomModels:
             out = syntax.parse(once, "gen")
             assert out.ok, (seed, [d.format_human() for d in out.diagnostics])
             assert syntax.format_model(out.model) == once, seed
+
+    def test_names_resolve_whatever_the_item_order(self):
+        # shuffled bodies use parameters and widgets before declaring them
+        rng = random.Random(5)
+        for seed in range(300):
+            m = gen_model(seed)
+            out = syntax.parse(reorder(rng, syntax.format_model(m), False), "gen")
+            for want, got in zip(m.screens, out.model.screens, strict=True):
+                assert set(got.widgets) == set(want.widgets), (seed, want.name)
+                assert set(got.transitions) == set(want.transitions), (seed, want.name)
