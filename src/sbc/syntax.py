@@ -24,13 +24,22 @@ The grammar, informally:
 
 `and`/`or` associate left; `not` binds tightest.  `#` starts a comment.
 URI parameters are embraced trailing segments: "app://contacts/{y}".
+
+A token is the plain `str` of its source text, and its first character is
+its kind: a letter or `_` starts an IDENT, a digit an INT, `"` a STRING
+(quotes and escapes kept, so that no string equals a keyword) and any other
+character is punctuation.  The end of the input is "".  The lexer keeps each
+token's offset; a line and a column are worked out only for the spans the
+parser keeps and for diagnostics.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import accumulate, islice
+from typing import Optional
 
 from .model import (
     Access,
@@ -74,14 +83,6 @@ ATTR_ALIASES = {"trusted-patterns": "trust-patterns"}
 WIDGET_ATTRS = ("trust-patterns", "allowJS")
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT STRING INT PUNCT EOF
-    text: str  # a STRING's text is unescaped and unquoted
-    line: int
-    column: int
-    length: int  # characters of source, quotes and escapes included
-
-
 class ParseError(Exception):
     def __init__(self, diag: Diagnostic):
         super().__init__(diag.message)
@@ -98,114 +99,127 @@ class ParseOutcome:
         return self.model is not None
 
 
-# One match per token, after any blanks.  The group that matched says what
-# it is; the first three are tokens whose text is their source.  Classes are
-# ASCII only: int() rejects digits such as '²'.  In a string only \" and \\
-# are escapes and any other backslash is literal; a lone backslash may not
-# precede " or \, so backtracking cannot end a string at an escaped quote.
-# A blank is never unexpected, or the blank prefix could give one back to
-# group 8 at the end of the input.
-_TOKEN = re.compile(
-    r"""[ \t\r]*(?:
-      ([A-Za-z_][A-Za-z0-9_-]*)                    # 1 IDENT
-    | ([{}()\[\]=,.])                              # 2 PUNCT
-    | ([0-9]+)                                     # 3 INT
-    | (\n)                                         # 4
-    | ("(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*) (")?    # 5 string, 6 its closing quote
-    | (\#[^\n]*)                                   # 7 comment
-    | ([^ \t\r\n])                                 # 8 unexpected character
-    )""",
-    re.VERBOSE,
-)
-_SIMPLE_KINDS = (None, "IDENT", "PUNCT", "INT")
+# Classes are ASCII only: int() rejects digits such as '²'.  In a string only
+# \" and \\ are escapes and any other backslash is literal: a lone backslash
+# may not precede " or \, so a string splits into its parts one way only and
+# a failed match backtracks in linear time.
+_STRING = r'"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*'  # up to the closing quote
+_BLANK = r"[ \t\r\n]+|\#[^\n]*"  # blanks and comments
+_BAD = r'[^ \t\r\n\#"A-Za-z0-9_{}()\[\]=,.]'  # a character that starts no token
+_WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
+# split() gives, per token, the unmatched text (always empty), the skipped
+# text and the token.  What is skipped is never a token: blanks, comments and
+# the errors that _ERRORS reports, an unterminated string being one that a
+# newline or the end follows.  The token group ends with \Z, so the end of the
+# input is the token "" and no match fails, which would retry trailing blanks
+# from every position.
+_TOKEN = re.compile(rf"((?:{_BLANK}|{_STRING}(?![^\n])|{_BAD})*)({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
+# One match per error, each after the stretch of valid text before it.
+_ERRORS = re.compile(rf"(?:{_BLANK}|{_WORD}|[{{}}()\[\]=,.0-9]+|{_STRING}\")*(?:({_STRING})|({_BAD})|\Z)")
 _ESCAPE = re.compile(r'\\(["\\])')
-_new = tuple.__new__  # _new(Token, fields) skips NamedTuple's slower Python __new__
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _lex(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
-    toks: list[Token] = []
+def _unquote(tok: str) -> str:
+    body = tok[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line after the first, then one past the end."""
+    return list(accumulate(map((1).__add__, map(len, text.split("\n")))))
+
+
+def _span(file: str, starts: list[int], offset: int, length: int) -> SourceSpan:
+    line = bisect_right(starts, offset)
+    return SourceSpan(file, line + 1, offset - (starts[line - 1] if line else 0) + 1, length)
+
+
+def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
+    """The tokens, ending with one "", their offsets, and the PAR001 diagnostics."""
+    parts = _TOKEN.split(text)
+    toks = parts[2::3]
+    offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))
+    if len(toks) > 1 and not toks[-2]:  # skipped text ran to the end, then the end matched again
+        del toks[-1], offsets[-1]
     diags: list[Diagnostic] = []
-    line, last_nl = 1, -1  # a column is the offset past the last newline
-    for m in _TOKEN.finditer(text):
+    starts = None
+    for m in _ERRORS.finditer(text):
         g = m.lastindex
-        if g <= 3:
-            word = m.group(g)
-            toks.append(_new(Token, (_SIMPLE_KINDS[g], word, line, m.start(g) - last_nl, len(word))))
-        elif g == 4:
-            line += 1
-            last_nl = m.end() - 1
-        elif g == 6:
-            raw = m.group(5)
-            body = _ESCAPE.sub(r"\1", raw[1:]) if "\\" in raw else raw[1:]
-            toks.append(_new(Token, ("STRING", body, line, m.start(5) - last_nl, len(raw) + 1)))
-        elif g == 5:
-            span = SourceSpan(file, line, m.start(5) - last_nl, len(m.group(5)))
-            diags.append(Diagnostic(Severity.ERROR, "PAR001", "unterminated string literal", span))
-        elif g == 8:
-            span = SourceSpan(file, line, m.start(8) - last_nl, 1)
-            diags.append(Diagnostic(Severity.ERROR, "PAR001", f"unexpected character {m.group(8)!r}", span))
-    toks.append(Token("EOF", "", line, len(text) - last_nl, 0))
-    return toks, diags
+        if g:
+            starts = starts or _line_starts(text)
+            msg = "unterminated string literal" if g == 1 else f"unexpected character {m[2]!r}"
+            diags.append(Diagnostic(Severity.ERROR, "PAR001", msg, _span(file, starts, m.start(g), len(m[g]))))
+    return toks, offsets, diags
 
 
 # An expression (a guard, or a widget's or binding's value) may hold at most
 # this many `not`, `and`, `or`, parentheses and operation calls.
 MAX_EXPRESSION_NODES = 100
 
-_WORDS = ("IDENT", "PUNCT")  # the kinds whose text at() and eat() match
-_SYNC = {"screen", "proxy", "resource", "transition", "param", "start", "app"}
+# the tokens where recovery stops skipping
+_RESUME = frozenset({"screen", "proxy", "resource", "transition", "param", "start", "app", "safe", "}", "", *KINDS})
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], file: str):
-        self.toks = toks + toks[-1:]  # a second EOF, so peek(1) stays in bounds
+    def __init__(self, text: str, file: str, toks: list[str], offsets: list[int]):
+        self.toks = toks
+        toks.append("")  # a second end, so that the token after the current one exists
+        self.offsets = offsets
+        self.text = text
+        self.starts: Optional[list[int]] = None  # line starts, found for the first span
         self.file = file
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.nodes = 0  # operators and calls in the expression being parsed
+        self.refs: set[str] = set()  # the names that are widgets of the screen being read
 
     # -- token plumbing -----------------------------------------------------
 
-    def span(self, t: Token) -> SourceSpan:
-        return SourceSpan(self.file, t.line, t.column, t.length)
-
-    def peek(self, ahead=0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+    def span(self, i: int) -> SourceSpan:
+        if self.starts is None:
+            self.starts = _line_starts(self.text)
+        return _span(self.file, self.starts, self.offsets[i], len(self.toks[i]))
 
     def at(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        return t.text == text and t.kind in _WORDS
+        return self.toks[self.pos] == text
 
     def eat(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        if t.text == text and t.kind in _WORDS:
+        if self.toks[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.toks[self.pos]
-        if self.eat(text):
-            return t
+    def expect(self, text: str) -> int:
+        """The index of the token, which must be text."""
+        i = self.pos
+        if self.toks[i] == text:
+            self.pos = i + 1
+            return i
         raise self.fail(f"expected '{text}'")
 
-    def expect_kind(self, kind: str, what: str) -> Token:
+    def ident(self, what: str) -> str:
         t = self.toks[self.pos]
-        if t.kind == kind:
+        if t[:1] in _IDENT_START:
             self.pos += 1
             return t
         raise self.fail(f"expected {what}")
 
+    def string(self, what: str) -> str:
+        """A STRING's text, unquoted and unescaped."""
+        t = self.toks[self.pos]
+        if t[:1] == '"':
+            self.pos += 1
+            return _unquote(t)
+        raise self.fail(f"expected {what}")
+
     def fail(self, msg: str, code: str = "PAR002") -> ParseError:
-        t = self.peek()
-        got = repr(t.text) if t.kind != "EOF" else "end of input"
-        return ParseError(Diagnostic(Severity.ERROR, code, f"{msg}, found {got}", self.span(t)))
+        t = self.toks[self.pos]
+        got = repr(_unquote(t) if t[:1] == '"' else t) if t else "end of input"
+        return ParseError(Diagnostic(Severity.ERROR, code, f"{msg}, found {got}", self.span(self.pos)))
+
+    def unknown(self, what: str, i: int) -> ParseError:
+        return ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown {what} '{self.toks[i]}'", self.span(i)))
 
     def expression(self, parse):
         # a guard, or a widget's or binding's value: its node count starts over
@@ -224,24 +238,17 @@ class _Parser:
         # item boundary so later errors can still surface; inside a block, a
         # '}' stays to close it
         self.diags.append(error.diag)
-        if not (in_block and self.at("}")):
-            self.next()
-        while True:
-            t = self.peek()
-            if t.kind == "EOF":
-                return
-            if t.kind == "IDENT" and (t.text in _SYNC or t.text in KINDS or t.text == "safe"):
-                return
-            if t.kind == "PUNCT" and t.text == "}":
-                return
-            self.next()
+        if self.toks[self.pos] and not (in_block and self.at("}")):
+            self.pos += 1
+        while self.toks[self.pos] not in _RESUME:
+            self.pos += 1
 
     # -- grammar ------------------------------------------------------------
 
     def storyboard(self) -> Optional[AppModel]:
         try:
             first = self.expect("app")
-            app_id = self.expect_kind("STRING", "app id string").text
+            app_id = self.string("app id string")
         except ParseError as e:
             self.diags.append(e.diag)
             return None
@@ -249,7 +256,7 @@ class _Parser:
         proxies: list[ProxyScreen] = []
         resources: list[Resource] = []
         start = None
-        while self.peek().kind != "EOF":
+        while self.toks[self.pos]:
             try:
                 if self.at("resource"):
                     resources.append(self.resource())
@@ -270,66 +277,104 @@ class _Parser:
         return AppModel(app_id, tuple(screens), tuple(proxies), tuple(resources), start, self.span(first))
 
     def resource(self) -> Resource:
-        t0 = self.expect("resource")
-        name = self.expect_kind("IDENT", "resource name").text
+        i0 = self.expect("resource")
+        name = self.ident("resource name")
         self.expect("access")
-        acc = self.expect_kind("IDENT", "access level")
-        if acc.text not in ACCESS:
-            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown access level '{acc.text}'", self.span(acc)))
+        i = self.pos
+        acc = self.ident("access level")
+        if acc not in ACCESS:
+            raise self.unknown("access level", i)
         self.expect("{")
         caps: list[Capability] = []
         while not self.eat("}"):
-            if self.peek().kind == "EOF":
+            if not self.toks[self.pos]:
                 raise self.fail("expected 'capability' or '}'")
             priv = self.eat("priv")
             self.expect("capability")
-            cn = self.expect_kind("IDENT", "capability name").text
-            caps.append(Capability(cn, priv))
-        return Resource(name, ACCESS[acc.text], tuple(caps), self.span(t0))
+            caps.append(Capability(self.ident("capability name"), priv))
+        return Resource(name, ACCESS[acc], tuple(caps), self.span(i0))
 
     def proxy(self) -> ProxyScreen:
-        t0 = self.expect("proxy")
+        i0 = self.expect("proxy")
         safe = self.eat("safe")
-        name = self.expect_kind("IDENT", "proxy name").text
+        name = self.ident("proxy name")
         app_id = None
         if self.eat("app"):
-            app_id = self.expect_kind("STRING", "app id string").text
+            app_id = self.string("app id string")
         self.expect("uri")
-        uri = parse_uri(self.expect_kind("STRING", "uri string").text)
-        return ProxyScreen(name, uri, app_id, safe, self.span(t0))
+        uri = parse_uri(self.string("uri string"))
+        return ProxyScreen(name, uri, app_id, safe, self.span(i0))
 
     def screen(self) -> Screen:
-        t0 = self.expect("screen")
-        name = self.expect_kind("IDENT", "screen name").text
+        i0 = self.expect("screen")
+        name = self.ident("screen name")
         uris: list[Uri] = []
         while self.eat("uri"):
-            uris.append(parse_uri(self.expect_kind("STRING", "uri string").text))
+            uris.append(parse_uri(self.string("uri string")))
         self.expect("{")
+        # A model is returned only when nothing failed, so the declarations
+        # that a bare name in a value resolves against can be read ahead.
+        uri_params = uris[0].params if uris else ()
+        body, errors = self.pos, len(self.diags)
+        params, widget_ids = self.declarations()
+        self.refs = widget_ids.difference(params, uri_params)
+        params, widgets, transitions = self.body()
+        refs = {w.id for w in widgets}.difference(params, uri_params)
+        if refs != self.refs and len(self.diags) == errors:
+            # a name spelled as a keyword misled declarations(): read the body again
+            self.pos, self.refs = body, refs
+            params, widgets, transitions = self.body()
+        return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(i0))
+
+    def declarations(self) -> tuple[set[str], set[str]]:
+        """The `param` names and the widget ids (`Kind Id =`) at the top level
+        of the screen body that starts at the current token."""
+        toks = self.toks
+        params: set[str] = set()
+        widgets: set[str] = set()
+        depth, i = 1, self.pos
+        while depth and toks[i]:
+            t = toks[i]
+            if t == "{":
+                depth += 1
+            elif t == "}":
+                depth -= 1
+            elif depth == 1 and t == "=" and toks[i - 2] in KINDS:
+                widgets.add(toks[i - 1])
+            elif depth == 1 and t == "param":
+                params.add(toks[i + 1])
+            i += 1
+        return params, widgets
+
+    def body(self) -> tuple[list[str], list[Widget], list[Transition]]:
         params: list[str] = []
         widgets: list[Widget] = []
         transitions: list[Transition] = []
         while not self.eat("}"):
-            if self.peek().kind == "EOF":
+            if not self.toks[self.pos]:
                 raise self.fail("expected screen body item or '}'")
             try:
                 if self.eat("param"):
-                    params.append(self.expect_kind("IDENT", "parameter name").text)
+                    params.append(self.ident("parameter name"))
                 elif self.at("transition"):
                     transitions.append(self.transition())
                 else:
                     widgets.append(self.widget())
             except ParseError as e:
                 self.recover(e)
-        return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(t0))
+        return params, widgets, transitions
 
     def widget(self) -> Widget:
         safe = self.eat("safe")
-        kt = self.expect_kind("IDENT", "widget kind")
-        if kt.text not in KINDS:
-            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown widget kind '{kt.text}'", self.span(kt)))
-        wid = self.expect_kind("IDENT", "widget id").text
+        k = self.pos
+        kind = self.ident("widget kind")
+        if kind not in KINDS:
+            raise self.unknown("widget kind", k)
+        wid = self.ident("widget id")
         self.expect("=")
         value = self.expression(self.value)
+        if type(value) is WidgetRef:
+            value = ParamRef(value.name)  # a widget's own value never names a widget; validate reports it
         attrs = self.attrs() if self.at("[") else ()
         # an attribute group after an opcall value binds to the opcall; lift
         # widget-level keys back onto the widget itself
@@ -339,25 +384,26 @@ class _Parser:
                 kept = tuple((k, v) for k, v in value.attributes if k not in WIDGET_ATTRS)
                 value = OperationUse(value.name, value.capability, value.args, kept, value.span)
                 attrs = lifted + attrs
-        return Widget(KINDS[kt.text], wid, value, safe, attrs, self.span(kt))
+        return Widget(KINDS[kind], wid, value, safe, attrs, self.span(k))
 
     def value(self) -> ValueBinding:
-        t = self.peek()
-        if t.kind == "STRING":
-            self.next()
-            return Literal(t.text)
-        if t.kind == "IDENT":
-            if self.peek(1).kind == "PUNCT" and self.peek(1).text == "(":
+        t = self.toks[self.pos]
+        if t[:1] == '"':
+            self.pos += 1
+            return Literal(_unquote(t))
+        if t[:1] in _IDENT_START:
+            if self.toks[self.pos + 1] == "(":
                 return self.opcall()
-            self.next()
-            # resolved to ParamRef/WidgetRef during validation-time lookup;
-            # parse keeps the surface name as a ParamRef by default
-            return ParamRef(t.text)
+            self.pos += 1
+            # a name that is both resolves to the parameter, and a name that
+            # is neither is left for validate to report
+            return WidgetRef(t) if t in self.refs else ParamRef(t)
         raise self.fail("expected a value")
 
     def opcall(self) -> OperationUse:
         self.count_node()
-        name_tok = self.expect_kind("IDENT", "operation name")
+        i0 = self.pos
+        name = self.ident("operation name")
         self.expect("(")
         args: list[Arg] = []
         if not self.at(")"):
@@ -369,18 +415,17 @@ class _Parser:
         self.expect(")")
         capability = None
         if self.eat("use"):
-            rn = self.expect_kind("IDENT", "resource name").text
+            rn = self.ident("resource name")
             self.expect(".")
-            cn = self.expect_kind("IDENT", "capability name").text
-            capability = (rn, cn)
+            capability = (rn, self.ident("capability name"))
         attrs = self.attrs() if self.at("[") else ()
-        return OperationUse(name_tok.text, capability, tuple(args), attrs, self.span(name_tok))
+        return OperationUse(name, capability, tuple(args), attrs, self.span(i0))
 
     def attrs(self) -> tuple[tuple[str, object], ...]:
         self.expect("[")
         out: list[tuple[str, object]] = []
         while True:
-            key = self.expect_kind("IDENT", "attribute name").text
+            key = self.ident("attribute name")
             key = ATTR_ALIASES.get(key, key)
             self.expect("=")
             out.append((key, self.attrval()))
@@ -390,40 +435,43 @@ class _Parser:
         return tuple(out)
 
     def attrval(self):
-        t = self.peek()
-        if t.kind == "STRING":
-            self.next()
-            return t.text
+        t = self.toks[self.pos]
+        if t[:1] == '"':
+            self.pos += 1
+            return _unquote(t)
         if self.eat("true"):
             return True
         if self.eat("false"):
             return False
         if self.eat("{"):
-            items = [self.expect_kind("STRING", "pattern string").text]
+            items = [self.string("pattern string")]
             while self.eat(","):
-                items.append(self.expect_kind("STRING", "pattern string").text)
+                items.append(self.string("pattern string"))
             self.expect("}")
             return tuple(items)
         raise self.fail("expected an attribute value")
 
     def transition(self) -> Transition:
-        t0 = self.expect("transition")
-        tid = self.expect_kind("IDENT", "transition id").text
+        i0 = self.expect("transition")
+        tid = self.ident("transition id")
         self.expect("order")
-        order = int(self.expect_kind("INT", "order index").text)
+        order = self.toks[self.pos]
+        if not order.isdigit():
+            raise self.fail("expected order index")
+        self.pos += 1
         self.expect("dest")
-        dest = self.expect_kind("IDENT", "destination name").text
+        dest = self.ident("destination name")
         ua = None
         guard = None
         if self.eat("cond"):
-            t = self.peek()
-            if t.kind == "IDENT" and self.peek(1).text == "." and self.peek(1).kind == "PUNCT":
-                self.next()
-                self.expect(".")
-                g = self.expect_kind("IDENT", "gesture")
-                if g.text not in GESTURES:
-                    raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown gesture '{g.text}'", self.span(g)))
-                ua = (t.text, GESTURES[g.text])
+            t = self.toks[self.pos]
+            if t[:1] in _IDENT_START and self.toks[self.pos + 1] == ".":
+                self.pos += 2
+                g = self.pos
+                gesture = self.ident("gesture")
+                if gesture not in GESTURES:
+                    raise self.unknown("gesture", g)
+                ua = (t, GESTURES[gesture])
                 if self.eat("and"):
                     guard = self.expression(self.bexpr)
             else:
@@ -431,11 +479,11 @@ class _Parser:
         bindings: list[ParamBinding] = []
         if self.eat("{"):
             while not self.eat("}"):
-                if self.peek().kind == "EOF":
+                if not self.toks[self.pos]:
                     raise self.fail("expected 'param' or '}'")
                 try:
                     p0 = self.expect("param")
-                    target = self.expect_kind("IDENT", "parameter name").text
+                    target = self.ident("parameter name")
                     self.expect("=")
                     safe = self.eat("safe")
                     bindings.append(ParamBinding(target, safe, self.expression(self.value), self.span(p0)))
@@ -444,7 +492,7 @@ class _Parser:
                     self.recover(e, in_block=True)
                     if not (self.at("param") or self.at("}")):
                         break  # the block is not closed; the screen resumes here
-        return Transition(tid, order, dest, ua, guard, tuple(bindings), self.span(t0))
+        return Transition(tid, int(order), dest, ua, guard, tuple(bindings), self.span(i0))
 
     def bexpr(self) -> BoolExpr:
         left = self.bterm()
@@ -471,68 +519,21 @@ class _Parser:
             return BConst(True)
         if self.eat("false"):
             return BConst(False)
-        if self.peek().kind == "IDENT":
+        if self.toks[self.pos][:1] in _IDENT_START:
             return BOp(self.opcall())
         raise self.fail("expected a boolean term")
 
 
-def _resolve_refs(model: AppModel) -> AppModel:
-    """Rewrite surface name references into ParamRef/WidgetRef per screen
-    namespace.  Names that resolve to neither are left as ParamRef for
-    validate to flag."""
-
-    def fix_value(v, params, widgets, widget_value=False):
-        if isinstance(v, ParamRef):
-            if v.name in params:
-                return v
-            if v.name in widgets and not widget_value:
-                return WidgetRef(v.name)
-            return v
-        if isinstance(v, OperationUse):
-            args = tuple(Arg(a.safe, fix_value(a.value, params, widgets)) for a in v.args)
-            return OperationUse(v.name, v.capability, args, v.attributes, v.span)
-        return v
-
-    def fix_bool(b, params, widgets):
-        if isinstance(b, BOp):
-            return BOp(fix_value(b.op, params, widgets))
-        if isinstance(b, BAnd):
-            return BAnd(fix_bool(b.left, params, widgets), fix_bool(b.right, params, widgets))
-        if isinstance(b, BOr):
-            return BOr(fix_bool(b.left, params, widgets), fix_bool(b.right, params, widgets))
-        if isinstance(b, BNot):
-            return BNot(fix_bool(b.inner, params, widgets))
-        return b
-
-    screens = []
-    for s in model.screens:
-        params = set(s.all_params)
-        widgets = {w.id for w in s.widgets}
-        new_widgets = tuple(
-            Widget(w.kind, w.id, fix_value(w.value, params, widgets, widget_value=True), w.safe, w.attributes, w.span)
-            for w in s.widgets
-        )
-        new_trs = []
-        for t in s.transitions:
-            guard = fix_bool(t.guard, params, widgets) if t.guard is not None else None
-            binds = tuple(
-                ParamBinding(b.target, b.safe, fix_value(b.value, params, widgets), b.span) for b in t.bindings
-            )
-            new_trs.append(Transition(t.id, t.order, t.dest, t.user_action, guard, binds, t.span))
-        screens.append(Screen(s.name, s.uris, s.params, new_widgets, tuple(new_trs), s.span))
-    return AppModel(model.app_id, tuple(screens), model.proxies, model.resources, model.start, model.span)
-
-
 def parse(text: str, file: str = "<input>") -> ParseOutcome:
-    toks, diags = _lex(text, file)
-    parser = _Parser(toks, file)
+    toks, offsets, diags = _lex(text, file)
+    parser = _Parser(text, file, toks, offsets)
     model = parser.storyboard()
     diags.extend(parser.diags)
     if diags or model is None:
         if not diags:
             diags = [Diagnostic(Severity.ERROR, "PAR002", "empty input", SourceSpan(file, 1, 1, 0))]
         return ParseOutcome(None, diags)
-    return ParseOutcome(_resolve_refs(model), [])
+    return ParseOutcome(model, [])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import time
 
 import pytest
 from conftest import FIXTURES, ILL_FORMED
@@ -324,6 +325,26 @@ class TestCheck:
                      "    param p = f(p, )\n  }\n}\n")
         code, out, err = run(capsys, "check", str(p))
         assert (code, out, err) == (2, f"error PAR002 {p}:5:20 expected a value, found ')'\n", "")
+
+    @pytest.mark.parametrize("tail, diags", [
+        (" " * 100_000, []),
+        (" \t\r" * 33_334, []),
+        ('\n"' + "x" * 1_000_000, [("PAR001", 3, 1, 1_000_001)]),
+        ("#" * 200_000, []),
+    ], ids=["spaces", "tabs-and-crs", "unterminated-string", "comment"])
+    def test_long_tail_read_in_linear_time(self, capsys, tmp_path, tail, diags):
+        # blanks, a comment or a string that run to the end of the input are read once
+        text = 'app "a"\nscreen S { }' + tail
+        t0 = time.perf_counter()
+        out = syntax.parse(text, "t")
+        assert time.perf_counter() - t0 < 1
+        assert [(d.code, d.span.line, d.span.column, d.span.length) for d in out.diagnostics] == diags
+        p = tmp_path / "x.sbd"
+        p.write_text(text, encoding="utf-8")
+        t0 = time.perf_counter()
+        code, stdout, err = run(capsys, "check", str(p))
+        assert time.perf_counter() - t0 < 1
+        assert (code, len(stdout.splitlines()), err) == (2 if diags else 0, len(diags), "")
 
     def test_wf_error_reported(self, capsys, tmp_path):
         p = tmp_path / "dup.sbd"

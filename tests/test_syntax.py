@@ -125,6 +125,13 @@ class TestParse:
         assert type(s.widgets[1].value.args[0].value).__name__ == "WidgetRef"
 
 
+    def test_name_spelled_as_a_keyword_resolves(self):
+        # `param` after `dest` names a screen, so Button here is no parameter
+        m = parse_text('app "a" screen param { }\nscreen S { transition t order 1 dest param\n'
+                       'Button Button = "b"\nTextView U = f(Button) }')
+        assert type(m.screens[1].widgets[1].value.args[0].value).__name__ == "WidgetRef"
+
+
 class TestFormat:
     @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: Path(p).stem)
     def test_round_trip_fixed_point(self, path):
@@ -147,9 +154,19 @@ class TestFormat:
         assert "start screen T" in syntax.format_model(m)
 
 
+def kind(tok):
+    """A token's kind, told by its first character."""
+    if not tok:
+        return "EOF"
+    return {'"': "STRING"}.get(tok[0], "INT" if tok[0].isdigit() else "IDENT" if tok[0] in syntax._IDENT_START
+                               else "PUNCT")
+
+
 def lex(text):
-    toks, diags = syntax._lex(text, "t")
-    return ([(t.kind, t.text, t.line, t.column, t.length) for t in toks],
+    toks, offsets, diags = syntax._lex(text, "t")
+    assert len(offsets) == len(toks) and toks[-1] == "" and "" not in toks[:-1]
+    return ([(kind(t), syntax._unquote(t) if kind(t) == "STRING" else t, text.count("\n", 0, o) + 1,
+              o - text.rfind("\n", 0, o), len(t)) for t, o in zip(toks, offsets)],
             [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags])
 
 
