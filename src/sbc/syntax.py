@@ -158,7 +158,7 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
 MAX_EXPRESSION_NODES = 100
 
 # the tokens where recovery stops skipping
-_RESUME = frozenset({"screen", "proxy", "resource", "transition", "param", "start", "app", "safe", "}", "", *KINDS})
+_RESUME = frozenset({"screen", "proxy", "resource", "transition", "param", "start", "app", "}", "", *KINDS})
 
 
 class _Parser:
@@ -233,15 +233,19 @@ class _Parser:
         if self.nodes > MAX_EXPRESSION_NODES:
             raise self.fail(f"expected at most {MAX_EXPRESSION_NODES} operators and calls in one expression", "PAR004")
 
-    def recover(self, error: ParseError, in_block: bool = False):
-        # record the error, then skip the token it names and on to the next
-        # item boundary so later errors can still surface; inside a block, a
-        # '}' stays to close it
+    def recover(self, error: ParseError, start: int, in_block: bool = True):
+        # Record the error, then skip the token it names and on to the next
+        # item boundary, so that later errors can still surface.  A block
+        # that the failed item (from start) opened, an attribute's pattern
+        # set among them, is skipped whole; a '}' of the innermost open block
+        # stays to close it.
         self.diags.append(error.diag)
-        if self.toks[self.pos] and not (in_block and self.at("}")):
-            self.pos += 1
-        while self.toks[self.pos] not in _RESUME:
-            self.pos += 1
+        toks, i = self.toks, self.pos
+        depth = sum((t == "{") - (t == "}") for t in toks[start:i])
+        while toks[i] and not (depth == 0 and (toks[i] == "}" and in_block or i > self.pos and toks[i] in _RESUME)):
+            depth = max(depth + (toks[i] == "{") - (toks[i] == "}"), 0)
+            i += 1
+        self.pos = i
 
     # -- grammar ------------------------------------------------------------
 
@@ -257,6 +261,7 @@ class _Parser:
         resources: list[Resource] = []
         start = None
         while self.toks[self.pos]:
+            item = self.pos
             try:
                 if self.at("resource"):
                     resources.append(self.resource())
@@ -271,7 +276,7 @@ class _Parser:
                 else:
                     raise self.fail("expected 'screen', 'proxy', or 'resource'")
             except ParseError as e:
-                self.recover(e)
+                self.recover(e, item, in_block=False)
         if start is None and screens:
             start = screens[0].name  # canonical: the default start is explicit
         return AppModel(app_id, tuple(screens), tuple(proxies), tuple(resources), start, self.span(first))
@@ -353,6 +358,7 @@ class _Parser:
         while not self.eat("}"):
             if not self.toks[self.pos]:
                 raise self.fail("expected screen body item or '}'")
+            item = self.pos
             try:
                 if self.eat("param"):
                     params.append(self.ident("parameter name"))
@@ -361,7 +367,7 @@ class _Parser:
                 else:
                     widgets.append(self.widget())
             except ParseError as e:
-                self.recover(e)
+                self.recover(e, item)
         return params, widgets, transitions
 
     def widget(self) -> Widget:
@@ -481,15 +487,15 @@ class _Parser:
             while not self.eat("}"):
                 if not self.toks[self.pos]:
                     raise self.fail("expected 'param' or '}'")
+                p0 = self.pos
                 try:
-                    p0 = self.expect("param")
+                    self.expect("param")
                     target = self.ident("parameter name")
                     self.expect("=")
                     safe = self.eat("safe")
                     bindings.append(ParamBinding(target, safe, self.expression(self.value), self.span(p0)))
                 except ParseError as e:
-                    # recover inside the block, so that its '}' does not end the screen
-                    self.recover(e, in_block=True)
+                    self.recover(e, p0)
                     if not (self.at("param") or self.at("}")):
                         break  # the block is not closed; the screen resumes here
         return Transition(tid, int(order), dest, ua, guard, tuple(bindings), self.span(i0))

@@ -57,6 +57,24 @@ class TestParse:
         out = syntax.parse(self.BLOCK + body, "t")
         assert [(d.span.line, d.span.column, d.message) for d in out.diagnostics] == expected
 
+    @pytest.mark.parametrize("text, expected", [
+        ('screen S { TextView T = }\nscreen R { }\n', [(2, 25, "expected a value, found '}'")]),
+        ('screen S { TextView T = [trust-patterns={"a" "b"}] }\nscreen R { }\n',
+         [(2, 25, "expected a value, found '['")]),
+        ('screen S { TextView T = "x" [trust-patterns={"a" "b"}] }\nscreen R { }\n',
+         [(2, 50, "expected '}', found 'b'")]),
+        ('screen S uri { TextView T = "x" }\nscreen R { }\n', [(2, 14, "expected uri string, found '{'")]),
+        ('screen S { transition t order x dest S { param p = "a" } }\nscreen R { }\n',
+         [(2, 31, "expected order index, found 'x'")]),
+        ('resource R access own { capability }\nscreen S { }\n', [(2, 36, "expected capability name, found '}'")]),
+        ('}\nscreen R { }\n', [(2, 1, "expected 'screen', 'proxy', or 'resource', found '}'")]),
+    ], ids=["screen-brace", "pattern-set-at-value", "pattern-set-item", "header-block", "binding-block-skipped",
+            "resource-brace", "stray-brace"])
+    def test_a_failing_brace_closes_the_innermost_block(self, text, expected):
+        # one error each: a block the failed item opened is skipped whole
+        out = syntax.parse('app "a"\n' + text, "t")
+        assert [(d.span.line, d.span.column, d.message) for d in out.diagnostics] == expected
+
     def test_spans_point_into_input(self):
         text = 'app "a" screen S { Foo x = "v" }'
         out = syntax.parse(text, "t")
