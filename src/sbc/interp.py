@@ -136,9 +136,10 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
                 raise _bad(file, lineno, f"bad operation result {res!r}")
         elif head == "launch":
             if len(words) >= 2:
-                if words[1] != "uri" or len(words) < 3:
+                m = len(words) >= 3 and words[1] == "uri" and _STRING.fullmatch(words[2])
+                if not m:
                     raise _bad(file, lineno, "expected: launch uri \"...\"")
-                launch_uri = words[2].strip('"')
+                launch_uri = _unescape(m[1])
                 for w in words[3:]:
                     m = _KV.fullmatch(w)
                     if not m:

@@ -50,6 +50,14 @@ class TestScenarioParse:
         assert s.launch_uri == "app://contacts/{y}"
         assert s.launch_args == (("y", "01 23"),)
 
+    def test_launch_uri_is_unescaped(self):
+        assert interp.parse_scenario('launch uri "app://contac\\"ts/{y}"\n').launch_uri == 'app://contac"ts/{y}'
+
+    @pytest.mark.parametrize("line", ["launch uri app://contacts/{y}", 'launch uri "a"b', "launch url \"a\""])
+    def test_launch_uri_must_be_one_quoted_string(self, line):
+        with pytest.raises(interp.ScenarioError, match='^run.scn:1: expected: launch uri "..."$'):
+            interp.parse_scenario(line + "\n", "run.scn")
+
     def test_quoted_blank_in_env(self):
         assert interp.parse_scenario('env y="a b"\n').uri_env == (("y", "a b"),)
 
