@@ -116,13 +116,11 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
 _TOKEN = re.compile(rf"((?:{_BLANK}|{_STRING}(?![^\n])|{_BAD})*)({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
 # One match per error, each after the stretch of valid text before it.
 _ERRORS = re.compile(rf"(?:{_BLANK}|{_WORD}|[{{}}()\[\]=,.0-9]+|{_STRING}\")*(?:({_STRING})|({_BAD})|\Z)")
-_ESCAPE = re.compile(r'\\(["\\])')
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 def _unquote(tok: str) -> str:
-    body = tok[1:-1]
-    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+    return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")  # a lone \ never precedes " or \
 
 
 def _line_starts(text: str) -> list[int]:
@@ -218,8 +216,13 @@ class _Parser:
         got = repr(_unquote(t) if t[:1] == '"' else t) if t else "end of input"
         return ParseError(Diagnostic(Severity.ERROR, code, f"{msg}, found {got}", self.span(self.pos)))
 
-    def unknown(self, what: str, i: int) -> ParseError:
-        return ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown {what} '{self.toks[i]}'", self.span(i)))
+    def known(self, table: dict, what: str):
+        """The entry of table that the current IDENT names."""
+        i = self.pos
+        word = self.ident(what)
+        if word not in table:
+            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown {what} '{word}'", self.span(i)))
+        return table[word]
 
     def expression(self, parse):
         # a guard, or a widget's or binding's value: its node count starts over
@@ -234,11 +237,9 @@ class _Parser:
             raise self.fail(f"expected at most {MAX_EXPRESSION_NODES} operators and calls in one expression", "PAR004")
 
     def recover(self, error: ParseError, start: int, in_block: bool = True):
-        # Record the error, then skip the token it names and on to the next
-        # item boundary, so that later errors can still surface.  A block
-        # that the failed item (from start) opened, an attribute's pattern
-        # set among them, is skipped whole; a '}' of the innermost open block
-        # stays to close it.
+        # Record the error and skip the token it names, then on to the next item
+        # boundary.  A block that the failed item (from start) opened, such as a
+        # pattern set, is skipped whole; a '}' of the innermost open block stays.
         self.diags.append(error.diag)
         toks, i = self.toks, self.pos
         depth = sum((t == "{") - (t == "}") for t in toks[start:i])
@@ -285,10 +286,7 @@ class _Parser:
         i0 = self.expect("resource")
         name = self.ident("resource name")
         self.expect("access")
-        i = self.pos
-        acc = self.ident("access level")
-        if acc not in ACCESS:
-            raise self.unknown("access level", i)
+        acc = self.known(ACCESS, "access level")
         self.expect("{")
         caps: list[Capability] = []
         while not self.eat("}"):
@@ -297,7 +295,7 @@ class _Parser:
             priv = self.eat("priv")
             self.expect("capability")
             caps.append(Capability(self.ident("capability name"), priv))
-        return Resource(name, ACCESS[acc], tuple(caps), self.span(i0))
+        return Resource(name, acc, tuple(caps), self.span(i0))
 
     def proxy(self) -> ProxyScreen:
         i0 = self.expect("proxy")
@@ -317,8 +315,6 @@ class _Parser:
         while self.eat("uri"):
             uris.append(parse_uri(self.string("uri string")))
         self.expect("{")
-        # A model is returned only when nothing failed, so the declarations
-        # that a bare name in a value resolves against can be read ahead.
         uri_params = uris[0].params if uris else ()
         body, errors = self.pos, len(self.diags)
         params, widget_ids = self.declarations()
@@ -333,10 +329,9 @@ class _Parser:
 
     def declarations(self) -> tuple[set[str], set[str]]:
         """The `param` names and the widget ids (`Kind Id =`) at the top level
-        of the screen body that starts at the current token."""
-        toks = self.toks
-        params: set[str] = set()
-        widgets: set[str] = set()
+        of the screen body that starts at the current token, read ahead so that
+        value() can resolve a name; a model is returned only if nothing failed."""
+        toks, params, widgets = self.toks, set(), set()
         depth, i = 1, self.pos
         while depth and toks[i]:
             t = toks[i]
@@ -373,9 +368,7 @@ class _Parser:
     def widget(self) -> Widget:
         safe = self.eat("safe")
         k = self.pos
-        kind = self.ident("widget kind")
-        if kind not in KINDS:
-            raise self.unknown("widget kind", k)
+        kind = self.known(KINDS, "widget kind")
         wid = self.ident("widget id")
         self.expect("=")
         value = self.expression(self.value)
@@ -390,7 +383,7 @@ class _Parser:
                 kept = tuple((k, v) for k, v in value.attributes if k not in WIDGET_ATTRS)
                 value = OperationUse(value.name, value.capability, value.args, kept, value.span)
                 attrs = lifted + attrs
-        return Widget(KINDS[kind], wid, value, safe, attrs, self.span(k))
+        return Widget(kind, wid, value, safe, attrs, self.span(k))
 
     def value(self) -> ValueBinding:
         t = self.toks[self.pos]
@@ -473,11 +466,7 @@ class _Parser:
             t = self.toks[self.pos]
             if t[:1] in _IDENT_START and self.toks[self.pos + 1] == ".":
                 self.pos += 2
-                g = self.pos
-                gesture = self.ident("gesture")
-                if gesture not in GESTURES:
-                    raise self.unknown("gesture", g)
-                ua = (t, GESTURES[gesture])
+                ua = (t, self.known(GESTURES, "gesture"))
                 if self.eat("and"):
                     guard = self.expression(self.bexpr)
             else:
