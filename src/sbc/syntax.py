@@ -114,8 +114,9 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
 # input is the token "" and no match fails, which would retry trailing blanks
 # from every position.
 _TOKEN = re.compile(rf"((?:{_BLANK}|{_STRING}(?![^\n])|{_BAD})*)({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
-# One match per error, each after the stretch of valid text before it.
-_ERRORS = re.compile(rf"(?:{_BLANK}|{_WORD}|[{{}}()\[\]=,.0-9]+|{_STRING}\")*(?:({_STRING})|({_BAD})|\Z)")
+# The errors in the joined skipped text, where a comment or an unterminated
+# string still ends at the newline, or the end, that is skipped with it.
+_ERRORS = re.compile(rf"\#[^\n]*|({_STRING})|({_BAD})")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
@@ -141,13 +142,15 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
     if len(toks) > 1 and not toks[-2]:  # skipped text ran to the end, then the end matched again
         del toks[-1], offsets[-1]
     diags: list[Diagnostic] = []
-    starts = None
-    for m in _ERRORS.finditer(text):
-        g = m.lastindex
-        if g:
-            starts = starts or _line_starts(text)
+    skipped, ends = parts[1::3], None  # skipped[k] ends where token k starts
+    for m in _ERRORS.finditer("".join(skipped)):
+        if g := m.lastindex:
+            if ends is None:
+                ends, starts = list(accumulate(map(len, skipped))), _line_starts(text)
+            k = bisect_right(ends, m.start(g))
+            offset = offsets[k] - ends[k] + m.start(g)
             msg = "unterminated string literal" if g == 1 else f"unexpected character {m[2]!r}"
-            diags.append(Diagnostic(Severity.ERROR, "PAR001", msg, _span(file, starts, m.start(g), len(m[g]))))
+            diags.append(Diagnostic(Severity.ERROR, "PAR001", msg, _span(file, starts, offset, len(m[g]))))
     return toks, offsets, diags
 
 
