@@ -29,8 +29,6 @@ from .model import (
     WidgetKind,
     boolean_position_ops,
     builtin_cap,
-    iter_operation_uses,
-    sites,
 )
 from .syntax import _fmt_bool, _fmt_value, _quote
 
@@ -126,15 +124,15 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
         return ValueType.OPAQUE
 
     sigs: dict[str, OpSignature] = {}
-    for s, _, _, _, op in sites(model):
-        if not isinstance(op, OperationUse) or op.name in sigs:
+    for op in model.operations:
+        if op.name in sigs:
             continue
         ptypes = []
         for a in op.args:
             v = a.value
             if isinstance(v, OperationUse):
                 ptypes.append(return_type(v.name))
-            elif isinstance(v, ParamRef) and s.widget(v.name) is None:
+            elif isinstance(v, ParamRef):  # validate keeps a parameter's name apart from a widget's
                 ptypes.append(ValueType.OPAQUE)
             else:
                 ptypes.append(ValueType.TEXT)  # a literal, or a widget's text
@@ -246,8 +244,7 @@ def _ops_stub(model: AppModel) -> GeneratedUnit:
 
 
 def build_manifest(model: AppModel) -> Manifest:
-    deps = sorted({op.capability[0] for _, op in iter_operation_uses(model)
-                   if builtin_cap(op.capability) is not None})
+    deps = sorted({op.capability[0] for op in model.operations if builtin_cap(op.capability) is not None})
     uris = []
     for s in model.screens:
         for u in s.uris:

@@ -1,11 +1,19 @@
 """Static information-flow analysis over storyboards.
 
-The analysis builds the direct `influences` relation between qualified
-identifiers, classifies untrusted sources and sinks against the builtin
-catalog, finds what the sources reach by graph search, collects declassified
-(`safe`) edges, and reports integrity/confidentiality violations with a
-deterministic witness path for each.  `flow_diagnostics` builds the graph
-and the safe set once and passes them to every later step.
+The analysis runs in five steps:
+
+1. `build_influences`: the direct influence edges between qualified
+   identifiers, each with the span of the position that induces it, and the
+   role of every node;
+2. `closure`: reflexive-transitive reachability, which only tests build;
+3. `classify_endpoints`: the untrusted sources and sinks, against the
+   builtin catalog, and what the sources reach by graph search;
+4. `collect_safe`: the declassified (`safe`) edges and the IF003 warnings;
+5. `analyze`: the IF002 (confidentiality) and IF001 (integrity) diagnostics,
+   each with a deterministic witness path and the span of its last edge.
+
+`flow_diagnostics` builds the graph and the safe set once and passes them to
+every later step.
 
 `analyze` interns the nodes: it numbers them once in name order, so that
 comparing two numbers compares two names, and searches sorted int successor
@@ -13,8 +21,7 @@ lists.  Each witness search (`_least_paths`, one per start) keeps only the
 breadth-first parent of each node it reaches; a witness is rebuilt from the
 parents only for a (source, sink) pair that is reported.
 
-No command builds the reflexive-transitive `closure`; only tests call it.  It
-and `_least_paths` keep their names because the benchmark's tracer
+`closure` and `_least_paths` keep their names because the benchmark's tracer
 (perfbench/tracer.py) wraps them by name.
 
 Guards never contribute control edges: all transition constraints are assumed
@@ -24,7 +31,7 @@ satisfiable, so only data positions induce flows.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -40,7 +47,6 @@ from .model import (
     Trust,
     WidgetRef,
     builtin_cap,
-    iter_operation_uses,
     qualify,
     sites,
 )
@@ -63,19 +69,6 @@ class TrustMap:
     untrusted_reachable: frozenset[QualifiedId]
 
 
-class FlowKind(Enum):
-    INTEGRITY = "integrity"
-    CONFIDENTIALITY = "confidentiality"
-
-
-@dataclass(frozen=True)
-class FlowViolation:
-    kind: FlowKind
-    source: QualifiedId
-    sink: QualifiedId
-    witness: tuple[QualifiedId, ...]
-
-
 # ---------------------------------------------------------------------------
 # Node roles
 
@@ -91,26 +84,11 @@ class Role(Enum):
 class InfluenceGraph:
     roles: dict[QualifiedId, Role]  # every node, with its role
     edges: frozenset[Edge]
-    edge_origin: dict[Edge, Optional[SourceSpan]] = field(default_factory=dict)
+    edge_origin: dict[Edge, Optional[SourceSpan]]  # every edge, with the span of its first position
 
     @property
     def nodes(self):
         return self.roles.keys()
-
-
-def node_roles(model: AppModel) -> dict[QualifiedId, Role]:
-    roles: dict[QualifiedId, Role] = {}
-    for s in model.screens:
-        for p in s.all_params:
-            roles[qualify(p, s.name)] = Role.PARAM
-        for w in s.widgets:
-            roles[qualify(w.id, s.name)] = Role.WIDGET
-    for p in model.proxies:
-        for pn in p.uri.params:
-            roles[qualify(pn, p.name)] = Role.PROXY_PARAM
-    for _, op in iter_operation_uses(model):
-        roles[qualify(op.name, OPERATION)] = Role.OP
-    return roles
 
 
 def _value_node(v, owner: str) -> Optional[QualifiedId]:
@@ -137,7 +115,19 @@ def _flow(s, t, holder) -> tuple[QualifiedId, Optional[SourceSpan]]:
 
 
 def build_influences(model: AppModel) -> InfluenceGraph:
-    origin: dict[Edge, Optional[SourceSpan]] = {}  # each edge, with the span of its first position
+    roles: dict[QualifiedId, Role] = {}
+    for s in model.screens:
+        for p in s.all_params:
+            roles[qualify(p, s.name)] = Role.PARAM
+        for w in s.widgets:
+            roles[qualify(w.id, s.name)] = Role.WIDGET
+    for p in model.proxies:
+        for pn in p.uri.params:
+            roles[qualify(pn, p.name)] = Role.PROXY_PARAM
+    for op in model.operations:
+        roles[qualify(op.name, OPERATION)] = Role.OP
+
+    origin: dict[Edge, Optional[SourceSpan]] = {}
     for s, t, holder, _, v in sites(model):
         if holder is t:
             continue
@@ -145,7 +135,7 @@ def build_influences(model: AppModel) -> InfluenceGraph:
         if src is not None:  # literals induce no flow
             dst, span = _flow(s, t, holder)
             origin.setdefault((src, dst), span)
-    return InfluenceGraph(node_roles(model), frozenset(origin), origin)
+    return InfluenceGraph(roles, frozenset(origin), origin)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +185,6 @@ def _op_source_untrusted(model: AppModel, op: OperationUse) -> bool:
     return _op_untrusted(model, op, "source_trust")
 
 
-def _op_sink_untrusted(model: AppModel, op: OperationUse) -> bool:
-    return _op_untrusted(model, op, "sink_trust")
-
-
 def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
     sources: set[QualifiedId] = set()
     sinks: set[QualifiedId] = set()
@@ -207,11 +193,11 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
         for p in s.uri_params:
             sources.add(qualify(p, s.name))
 
-    for _, op in iter_operation_uses(model):
+    for op in model.operations:
         f = qualify(op.name, OPERATION)
         if _op_source_untrusted(model, op):
             sources.add(f)
-        if _op_sink_untrusted(model, op):
+        if _op_untrusted(model, op, "sink_trust"):
             sinks.add(f)
 
     for p in model.proxies:
@@ -323,7 +309,7 @@ def _witness(parent: dict[int, int], start: int, node: int, names: list[Qualifie
     return tuple(path)
 
 
-def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> list[FlowViolation]:
+def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> list[Diagnostic]:
     trust = classify_endpoints(model, graph)
     roles = graph.roles
 
@@ -343,36 +329,23 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
     tainted |= {u for u in trust.untrusted_sources if roles.get(u) is Role.OP}
     consumers = sorted({index[k] for u, k in unsafe if u in tainted and roles.get(k) in (Role.WIDGET, Role.OP)})
 
-    # Report order: by kind ("confidentiality" < "integrity"), then by source
-    # and sink name.  A witness has at least one edge, so k != s.
-    out: list[FlowViolation] = []
-    for kind, starts, ends in ((FlowKind.CONFIDENTIALITY, leaks, sinks), (FlowKind.INTEGRITY, sources, consumers)):
+    # Report order: confidentiality (IF002) before integrity (IF001), then by
+    # source and sink name.  A witness has at least one edge, so k != s.
+    out: list[Diagnostic] = []
+    for code, what, starts, ends in (("IF002", "value leaks to untrusted sink", leaks, sinks),
+                                     ("IF001", "untrusted value reaches", sources, consumers)):
         for s in starts:
             parent = parents[s]
             for k in ends:
                 if k != s and k in parent:
-                    out.append(FlowViolation(kind, names[s], names[k], _witness(parent, s, k, names)))
+                    witness = _witness(parent, s, k, names)
+                    span = graph.edge_origin[witness[-2:]]
+                    out.append(Diagnostic(Severity.ERROR, code, f"{what} '{names[k]}' from '{names[s]}'", span, witness))
     return out
 
 
 def flow_diagnostics(model: AppModel) -> list[Diagnostic]:
-    """Violations and unused-safe warnings rendered as diagnostics."""
+    """The violations, then the unused-safe warnings."""
     graph = build_influences(model)
     safe, warnings = collect_safe(model, graph)
-    out: list[Diagnostic] = []
-    for v in analyze(model, graph, safe):
-        code = "IF001" if v.kind is FlowKind.INTEGRITY else "IF002"
-        last_edge = (v.witness[-2], v.witness[-1])
-        span = graph.edge_origin.get(last_edge)
-        what = "untrusted value reaches" if v.kind is FlowKind.INTEGRITY else "value leaks to untrusted sink"
-        out.append(
-            Diagnostic(
-                Severity.ERROR,
-                code,
-                f"{what} '{v.sink}' from '{v.source}'",
-                span,
-                witness=v.witness,
-            )
-        )
-    out.extend(warnings)
-    return out
+    return analyze(model, graph, safe) + warnings

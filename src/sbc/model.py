@@ -305,6 +305,12 @@ class AppModel:
     def resource(self, name: str) -> Optional[Resource]:
         return self._by_name[2].get(name)
 
+    @cached_property
+    def operations(self) -> tuple[OperationUse, ...]:
+        """Every operation use in declaration order, those nested in arguments
+        and guards included: the one walk that every reader of the uses shares."""
+        return tuple(v for _, _, _, _, v in sites(self) if isinstance(v, OperationUse))
+
 
 # ---------------------------------------------------------------------------
 # Builtin resource catalog
@@ -371,7 +377,8 @@ def sites(model: AppModel):
     whose argument it is, or the Transition whose guard holds it as a term (then
     `holder is transition` and `safe` is False).  `transition` is None inside a
     widget.  The parser bounds every expression's size, so the recursion is
-    shallow.
+    shallow.  `AppModel.operations` keeps the operation uses of one walk, so
+    only the readers of the other positions walk again.
     """
     for s in model.screens:
         for w in s.widgets:
@@ -403,12 +410,6 @@ def _guard_sites(s, t, b):
         yield from _guard_sites(s, t, b.right)
     elif isinstance(b, BNot):
         yield from _guard_sites(s, t, b.inner)
-
-
-def iter_operation_uses(model: AppModel):
-    """Yield (screen_name, OperationUse) for every operation use in the model,
-    in declaration order, including uses nested in arguments and guards."""
-    return ((s.name, v) for s, _, _, _, v in sites(model) if isinstance(v, OperationUse))
 
 
 def boolean_position_ops(model: AppModel) -> set[str]:
@@ -472,10 +473,9 @@ def validate(model: AppModel) -> list[Diagnostic]:
             else:
                 bases[u.base] = s.name
 
-    # One pass over the value positions gathers the operation uses, the names
-    # of those used as guard terms and as values, and the unknown names, which
+    # One pass over the value positions gathers the names of the operations
+    # used as guard terms and as values, and the unknown names, which
     # `_validate_screen` reports per screen (widgets) and per transition.
-    ops: list[OperationUse] = []
     positions: tuple[set[str], set[str]] = (set(), set())  # guard terms, values
     named: dict[int, list[Diagnostic]] = {}  # by id of the screen or transition
     spans: dict[int, Optional[SourceSpan]] = {}  # the span an operation's arguments report
@@ -488,7 +488,6 @@ def validate(model: AppModel) -> list[Diagnostic]:
         else:
             span = holder.span if t is None else holder.span or t.span
         if isinstance(v, OperationUse):
-            ops.append(v)
             positions[holder is not t].add(v.name)
             spans[id(v)] = v.span or span
             continue
@@ -511,7 +510,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
 
     # operation use consistency (global): arity and capability agreement
     uses: dict[str, list[OperationUse]] = {}
-    for op in ops:
+    for op in model.operations:
         uses.setdefault(op.name, []).append(op)
     for name, same in uses.items():
         arities = {len(op.args) for op in same}
@@ -528,7 +527,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
     # capability references must resolve to builtin or declared resources,
     # except foreign resources (another app's), which are legal and untrusted
     declared = {r.name: {c.name for c in r.capabilities} for r in model.resources}
-    for op in ops:
+    for op in model.operations:
         if op.capability is None:
             continue
         rn, cn = op.capability
@@ -598,14 +597,6 @@ def _validate_screen(model, s, screen_names, proxy_names, named):
         for e in sorted(set(targets) - want):
             out.append(_err("WF003", f"transition '{t.id}' binds '{e}', not a parameter of {dest} '{t.dest}'", t.span))
     return out
-
-
-def out_transitions(model: AppModel, screen: str) -> list[Transition]:
-    """Outgoing transitions of a screen, sorted by order index."""
-    s = model.screen(screen)
-    if s is None:
-        raise KeyError(f"unknown screen '{screen}'")
-    return list(s.ordered_transitions)
 
 
 def start_screen(model: AppModel) -> str:

@@ -10,8 +10,10 @@ Codes:
 
 Pinning is on by default: absence of disableCertPin means pinned.
 
-`findings` is the one analysis pass every command shares: well-formedness,
-then information flow, then these rules.
+RC001 and RC002 read the resources and the widgets; RC003 to RC006 are
+per-operation rules over `AppModel.operations`, each returning a finding or
+None.  `findings` is the one analysis pass every command shares:
+well-formedness, then information flow, then these rules.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .model import (
     Severity,
     WidgetKind,
     builtin_cap,
-    iter_operation_uses,
     validate,
 )
 
@@ -121,33 +122,11 @@ def _http_use(op: OperationUse) -> Optional[Diagnostic]:
     )
 
 
-def _operations(model: AppModel) -> list[OperationUse]:
-    return [op for _, op in iter_operation_uses(model)]
-
-
-def _per_operation(rule, ops: list[OperationUse]) -> list[Diagnostic]:
-    return [d for d in map(rule, ops) if d is not None]
-
-
-def check_cert_pinning(model: AppModel) -> list[Diagnostic]:
-    return _per_operation(_cert_pinning, _operations(model))
-
-
-def check_cipher_keys(model: AppModel) -> list[Diagnostic]:
-    return _per_operation(_cipher_key, _operations(model))
-
-
-def check_http_use(model: AppModel) -> list[Diagnostic]:
-    return _per_operation(_http_use, _operations(model))
-
-
 def check_all(model: AppModel) -> list[Diagnostic]:
-    """The five checks' findings, concatenated in the order above.  The
-    operation uses are walked once, for the three per-operation rules."""
-    ops = _operations(model)
+    """The five checks' findings, concatenated in the order above."""
     findings = check_access_control(model) + check_webview_whitelist(model)
     for rule in (_cert_pinning, _cipher_key, _http_use):
-        findings += _per_operation(rule, ops)
+        findings += filter(None, map(rule, model.operations))
     return findings
 
 

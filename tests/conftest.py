@@ -42,6 +42,14 @@ def violations(model):
     return infoflow.analyze(model, graph, safe)
 
 
+FLOW_KINDS = {"IF001": "integrity", "IF002": "confidentiality"}
+
+
+def flow(d):
+    """The kind, source and sink of an IF001 or IF002 diagnostic."""
+    return FLOW_KINDS[d.code], d.witness[0], d.witness[-1]
+
+
 def taint_pairs(trace):
     """(origin, holder) for every taint origin of every value the run held:
     the stores of its steps and the values handed out at a proxy exit."""

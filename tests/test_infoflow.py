@@ -1,6 +1,6 @@
 """Information-flow analysis: influences, closure, classification, violations."""
 
-from conftest import FIXTURES, load_fixture, oracle_flows, oracle_least_paths, parse_text, violations
+from conftest import FIXTURES, flow, load_fixture, oracle_flows, oracle_least_paths, parse_text, violations
 
 from sbc import infoflow
 from sbc.model import OPERATION, qualify
@@ -45,7 +45,7 @@ class TestInfluences:
         for seed in range(50):
             m = gen_model(seed)
             g = infoflow.build_influences(m)
-            declared = set(infoflow.node_roles(m))
+            declared = set(g.roles)
             for a, b in g.edges:
                 assert a in declared and b in declared
 
@@ -152,7 +152,7 @@ class TestCollectSafe:
 class TestAnalyze:
     def test_messenger_two_integrity_sites(self, messenger):
         vs = violations(messenger)
-        assert [(v.kind.value, str(v.source), str(v.sink)) for v in vs] == [
+        assert [(kind, str(source), str(sink)) for kind, source, sink in map(flow, vs)] == [
             ("integrity", "y@Contacts", "Phone@Contacts"),
             ("integrity", "y@Contacts", "dispMsg"),
         ]
@@ -166,9 +166,9 @@ class TestAnalyze:
 
     def test_notes_injection_and_fix(self):
         vs = violations(load_fixture("notes.sbd"))
-        sinks = {str(v.sink) for v in vs}
+        sinks = {str(v.witness[-1]) for v in vs}
         assert sinks == {"getFrag", "isFragHome", "isFragProfile"}
-        token_path = next(v for v in vs if str(v.sink) == "isFragHome")
+        token_path = next(v for v in vs if str(v.witness[-1]) == "isFragHome")
         assert [str(n) for n in token_path.witness] == [
             "token@Profile", "getFrag", "fragAddr@LoginFrag", "isFragHome",
         ]
@@ -176,7 +176,7 @@ class TestAnalyze:
 
     def test_browser_leak_and_fix(self, browser):
         vs = violations(browser)
-        kinds = {(v.kind.value, str(v.source), str(v.sink)) for v in vs}
+        kinds = {(kind, str(source), str(sink)) for kind, source, sink in map(flow, vs)}
         assert ("confidentiality", "Url@Home", "save") in kinds
         assert ("integrity", "show", "DispArea@DisplayFile") in kinds
         assert violations(load_fixture("browser_fixed.sbd")) == []
@@ -193,19 +193,19 @@ class TestAnalyze:
 
     def test_self_influence_never_a_violation(self):
         m = parse_text('app "a" screen S { TextView T = f() use EXT_STORE.read }')
-        assert all(v.source != v.sink for v in violations(m))
+        assert all(v.witness[0] != v.witness[-1] for v in violations(m))
 
     def test_violating_pairs_within_reachability(self):
         for seed in range(50):
             m = gen_model(seed)
             flows = oracle_flows(m)
             for v in violations(m):
-                assert (v.source, v.sink) in flows, f"seed {seed}"
+                assert (v.witness[0], v.witness[-1]) in flows, f"seed {seed}"
 
     def test_safe_mark_monotone(self):
         # adding a safe mark never introduces a violation
-        before = {(v.kind, v.source, v.sink) for v in violations(load_fixture("browser.sbd"))}
-        after = {(v.kind, v.source, v.sink) for v in violations(load_fixture("browser_fixed.sbd"))}
+        before = set(map(flow, violations(load_fixture("browser.sbd"))))
+        after = set(map(flow, violations(load_fixture("browser_fixed.sbd"))))
         assert after <= before
 
     def test_guards_do_not_add_edges(self):

@@ -13,8 +13,6 @@ from sbc.model import (
     Trust,
     WidgetRef,
     boolean_position_ops,
-    iter_operation_uses,
-    out_transitions,
     qualify,
     sites,
     start_screen,
@@ -187,23 +185,21 @@ class TestSites:
 
     def test_filters_over_sites(self):
         m = parse_text(SITES)
-        assert [(owner, op.name) for owner, op in iter_operation_uses(m)] == [
-            ("S", "f"), ("S", "g"), ("S", "h"), ("S", "k")]
+        assert [op.name for op in m.operations] == ["f", "g", "h", "k"]
         assert boolean_position_ops(m) == {"h", "k"}
 
 
 class TestLookups:
     def test_out_transitions_sorted(self, messenger):
-        ts = out_transitions(messenger, "Contacts")
+        ts = messenger.screen("Contacts").ordered_transitions
         assert [t.order for t in ts] == [1, 2]
         assert ts[0].dest == "SaveStatus"  # Save-click first
 
     def test_out_transitions_empty(self, messenger):
-        assert out_transitions(messenger, "MsgStatus") == []
+        assert list(messenger.screen("MsgStatus").ordered_transitions) == []
 
     def test_out_transitions_unknown_screen(self, messenger):
-        with pytest.raises(KeyError):
-            out_transitions(messenger, "Nope")
+        assert messenger.screen("Nope") is None
 
     def test_start_screen_default_order(self, messenger):
         assert start_screen(messenger) == "Messenger"

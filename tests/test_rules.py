@@ -15,6 +15,15 @@ def findings_of(model):
     return [(f.code, f.severity.value) for f in rules.check_all(model)]
 
 
+def coded(model, *codes):
+    """check_all's findings with one of the codes."""
+    return [f for f in rules.check_all(model) if f.code in codes]
+
+
+def cert_pinning(model):
+    return coded(model, "RC003", "RC004")
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [
@@ -56,16 +65,16 @@ class TestWebView:
 class TestCertPinning:
     def test_pinned_by_default(self):
         m = parse_text('app "a" screen S { TextView T = f() use HTTPS.get }')
-        assert rules.check_cert_pinning(m) == []
+        assert cert_pinning(m) == []
 
     def test_disable_must_be_true(self):
         m = parse_text('app "a" screen S { TextView T = f() use HTTPS.get [disableCertPin=false] }')
-        assert rules.check_cert_pinning(m) == []
+        assert cert_pinning(m) == []
 
     def test_plain_socket_not_pinnable(self):
         # pinning rules only concern TLS-tagged capabilities
         m = parse_text('app "a" screen S { TextView T = f() use SOCKET.read [disableCertPin=true] }')
-        assert rules.check_cert_pinning(m) == []
+        assert cert_pinning(m) == []
 
 
 class TestCipherKeys:
@@ -74,27 +83,27 @@ class TestCipherKeys:
             'app "a" screen S { EditText M = ""\n'
             "TextView O = enc(M, getKey() use KEYSTORE.getKey) use CRYPTO.encrypt }"
         )
-        assert [f.code for f in rules.check_cipher_keys(m)] == ["RC005"]
+        assert [f.code for f in coded(m, "RC005")] == ["RC005"]
 
     def test_zero_arg_cipher_flags(self):
         m = parse_text('app "a" screen S { TextView O = enc() use CRYPTO.encrypt }')
-        assert [f.code for f in rules.check_cipher_keys(m)] == ["RC005"]
+        assert [f.code for f in coded(m, "RC005")] == ["RC005"]
 
     def test_decrypt_covered_too(self):
         m = parse_text(
             'app "a" screen S { TextView O = dec(getKey() use KEYSTORE.getKey, "c") use CRYPTO.decrypt }'
         )
-        assert rules.check_cipher_keys(m) == []
+        assert coded(m, "RC005") == []
 
 
 class TestHttp:
     def test_http_warns(self):
         m = load_fixture("categories/w2.sbd")
-        assert [(f.code, f.severity.value) for f in rules.check_http_use(m)] == [("RC006", "warning")]
+        assert [(f.code, f.severity.value) for f in coded(m, "RC006")] == [("RC006", "warning")]
 
     def test_https_does_not(self):
         m = load_fixture("categories/w2_fixed.sbd")
-        assert rules.check_http_use(m) == []
+        assert coded(m, "RC006") == []
 
 
 class TestCheckAll:
@@ -113,13 +122,9 @@ class TestCheckAll:
     def test_concatenation_of_individual_checks(self):
         for path in sorted(FIXTURES.rglob("*.sbd")):
             m = load_fixture(str(path.relative_to(FIXTURES)))
-            individual = (
-                rules.check_access_control(m)
-                + rules.check_webview_whitelist(m)
-                + rules.check_cert_pinning(m)
-                + rules.check_cipher_keys(m)
-                + rules.check_http_use(m)
-            )
+            individual = rules.check_access_control(m) + rules.check_webview_whitelist(m)
+            for rule in (rules._cert_pinning, rules._cipher_key, rules._http_use):
+                individual += [f for f in map(rule, m.operations) if f is not None]
             assert rules.check_all(m) == individual, path.name
 
     def test_rules_independent(self):
@@ -130,4 +135,4 @@ class TestCheckAll:
         one = parse_text(
             'app "a" screen S { TextView T = f() use HTTPS.get [disableCertPin=true] }'
         )
-        assert rules.check_cert_pinning(both) == rules.check_cert_pinning(one)
+        assert cert_pinning(both) == cert_pinning(one)
