@@ -357,7 +357,7 @@ class TestCheck:
 def calls(monkeypatch):
     """Counts the calls of each analysis stage, wherever the package binds it."""
     stages = [(infoflow, "build_influences"), (infoflow, "collect_safe"), (infoflow, "closure"),
-              (rules, "check_all"), (model, "validate")]
+              (rules, "check_all"), (model, "validate"), (model, "sites")]
     modules = (cli, codegen, infoflow, interp, model, rules, syntax)
     counts = {}
     for home, name in stages:
@@ -376,7 +376,9 @@ def calls(monkeypatch):
 
 
 class TestOnePass:
-    ONCE = {"build_influences": 1, "collect_safe": 1, "closure": 0, "check_all": 1, "validate": 1}
+    # Four walks over the value positions: validate's, the one behind
+    # AppModel.operations, build_influences' and collect_safe's.
+    ONCE = {"build_influences": 1, "collect_safe": 1, "closure": 0, "check_all": 1, "validate": 1, "sites": 4}
 
     def test_generate_runs_each_stage_once(self, capsys, tmp_path, calls):
         code, _, _ = run(capsys, "generate", fixture("messenger_safe.sbd"), "-o", str(tmp_path / "out"))
