@@ -83,12 +83,15 @@ class Role(Enum):
 @dataclass(frozen=True)
 class InfluenceGraph:
     roles: dict[QualifiedId, Role]  # every node, with its role
-    edges: frozenset[Edge]
     edge_origin: dict[Edge, Optional[SourceSpan]]  # every edge, with the span of its first position
 
     @property
     def nodes(self):
         return self.roles.keys()
+
+    @property
+    def edges(self):
+        return self.edge_origin.keys()
 
 
 def _value_node(v, owner: str) -> Optional[QualifiedId]:
@@ -135,7 +138,7 @@ def build_influences(model: AppModel) -> InfluenceGraph:
         if src is not None:  # literals induce no flow
             dst, span = _flow(s, t, holder)
             origin.setdefault((src, dst), span)
-    return InfluenceGraph(roles, frozenset(origin), origin)
+    return InfluenceGraph(roles, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +342,8 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
             for k in ends:
                 if k != s and k in parent:
                     witness = _witness(parent, s, k, names)
-                    span = graph.edge_origin[witness[-2:]]
-                    out.append(Diagnostic(Severity.ERROR, code, f"{what} '{names[k]}' from '{names[s]}'", span, witness))
+                    message = f"{what} '{names[k]}' from '{names[s]}'"
+                    out.append(Diagnostic(Severity.ERROR, code, message, graph.edge_origin[witness[-2:]], witness))
     return out
 
 
