@@ -158,8 +158,12 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
 # this many `not`, `and`, `or`, parentheses and operation calls.
 MAX_EXPRESSION_NODES = 100
 
-# the tokens where recovery stops skipping
-_RESUME = frozenset({"screen", "proxy", "resource", "transition", "param", "start", "app", "}", "", *KINDS})
+# The end of the input and the words that start a storyboard item, which no
+# block item starts with: at the start of an item they end every open block
+# whose '}' is missing, and recovery stops at them at any depth.
+_ENDS = frozenset({"", "screen", "start", "proxy", "resource"})
+# the words that start a block item, where recovery inside a block also stops
+_RESUME = frozenset({"transition", "param", *KINDS})
 
 
 class _Parser:
@@ -240,16 +244,28 @@ class _Parser:
             raise self.fail(f"expected at most {MAX_EXPRESSION_NODES} operators and calls in one expression", "PAR004")
 
     def recover(self, error: ParseError, start: int, in_block: bool = True):
-        # Record the error and skip the token it names, then on to the next item
-        # boundary.  A block that the failed item (from start) opened, such as a
-        # pattern set, is skipped whole; a '}' of the innermost open block stays.
+        # Record the error and skip to the next item: a token of _ENDS, even the
+        # one the error names, and in a block the next _RESUME word after it or
+        # the '}' that closes the innermost open block.  A block that the failed
+        # item (from start) opened, such as a pattern set, is skipped whole.
         self.diags.append(error.diag)
         toks, i = self.toks, self.pos
         depth = sum((t == "{") - (t == "}") for t in toks[start:i])
-        while toks[i] and not (depth == 0 and (toks[i] == "}" and in_block or i > self.pos and toks[i] in _RESUME)):
+        while toks[i] not in _ENDS and not (
+                in_block and depth == 0 and (toks[i] == "}" or i > self.pos and toks[i] in _RESUME)):
             depth = max(depth + (toks[i] == "{") - (toks[i] == "}"), 0)
             i += 1
         self.pos = i
+
+    def unclosed(self, errors: int, what: str) -> bool:
+        """Whether the open block ends at the current token, a token of _ENDS,
+        without its '}'.  That is an error at the end of the input, and at a
+        storyboard item's word unless the block's last item failed (errors
+        counts the diagnostics before it), whose error then stands for it."""
+        t = self.toks[self.pos]
+        if t in _ENDS and (not t or len(self.diags) == errors):
+            raise self.fail(f"expected {what} or '}}'")
+        return t in _ENDS
 
     # -- grammar ------------------------------------------------------------
 
@@ -293,7 +309,7 @@ class _Parser:
         self.expect("{")
         caps: list[Capability] = []
         while not self.eat("}"):
-            if not self.toks[self.pos]:
+            if self.toks[self.pos] in _ENDS:
                 raise self.fail("expected 'capability' or '}'")
             priv = self.eat("priv")
             self.expect("capability")
@@ -333,10 +349,12 @@ class _Parser:
     def declarations(self) -> tuple[set[str], set[str]]:
         """The `param` names and the widget ids (`Kind Id =`) at the top level
         of the screen body that starts at the current token, read ahead so that
-        value() can resolve a name; a model is returned only if nothing failed."""
+        value() can resolve a name; a model is returned only if nothing failed.
+        It stops at a token of _ENDS too, where an unclosed body ends, so that
+        it reads each token of a file once however many bodies are unclosed."""
         toks, params, widgets = self.toks, set(), set()
         depth, i = 1, self.pos
-        while depth and toks[i]:
+        while depth and toks[i] not in _ENDS:
             t = toks[i]
             if t == "{":
                 depth += 1
@@ -353,10 +371,9 @@ class _Parser:
         params: list[str] = []
         widgets: list[Widget] = []
         transitions: list[Transition] = []
-        while not self.eat("}"):
-            if not self.toks[self.pos]:
-                raise self.fail("expected screen body item or '}'")
-            item = self.pos
+        errors = len(self.diags)
+        while not self.eat("}") and not self.unclosed(errors, "screen body item"):
+            item, errors = self.pos, len(self.diags)
             try:
                 if self.eat("param"):
                     params.append(self.ident("parameter name"))
@@ -476,10 +493,9 @@ class _Parser:
                 guard = self.expression(self.bexpr)
         bindings: list[ParamBinding] = []
         if self.eat("{"):
-            while not self.eat("}"):
-                if not self.toks[self.pos]:
-                    raise self.fail("expected 'param' or '}'")
-                p0 = self.pos
+            errors = len(self.diags)
+            while not self.eat("}") and not self.unclosed(errors, "'param'"):
+                p0, errors = self.pos, len(self.diags)
                 try:
                     self.expect("param")
                     target = self.ident("parameter name")

@@ -326,6 +326,18 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(p))
         assert (code, out, err) == (2, f"error PAR002 {p}:5:20 expected a value, found ')'\n", "")
 
+    @pytest.mark.parametrize("text, expected", [
+        ('app "a"\nscreen S {\n  Button B = "b"\nscreen R { }\nproxy P uri "x://y"\n',
+         "4:1 expected screen body item or '}', found 'screen'"),
+        ('app "a"\nscreen S {\n  WebView W = "u" [trust-patterns={"a"]\n}\nscreen R { }\nproxy P uri "x://y"\n',
+         "3:39 expected '}', found ']'"),
+    ], ids=["screen", "pattern-set"])
+    def test_a_missing_brace_is_one_error(self, capsys, tmp_path, text, expected):
+        p = tmp_path / "x.sbd"
+        p.write_text(text)
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out, err) == (2, f"error PAR002 {p}:{expected}\n", "")
+
     @pytest.mark.parametrize("tail, diags", [
         (" " * 100_000, []),
         (" \t\r" * 33_334, []),
