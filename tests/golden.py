@@ -18,7 +18,8 @@ every fixture scenario, and the ring with its own.  The models run the same
 commands except `check`, which prints nothing for a well-formed model.  Renamed
 models run `check`, mutants `analyze --format machine`, scenario mutants
 `simulate fixtures/messenger.sbd --scenario`, and reordered models `check` and
-`analyze`, both in machine format.
+`analyze`, both in machine format, and `generate`, whose operation signatures
+type an argument by whether its name is a parameter of the screen.
 
 golden.json holds, per input, a digest of the input itself (so that drift in
 a generator shows as a corpus change, not an output change) and one digest
@@ -100,7 +101,7 @@ MODEL_COMMANDS = ("analyze", "analyze-machine", "fmt", "generate")  # models are
 MUTANT_COMMANDS = ("analyze-machine",)
 RENAMED_COMMANDS = ("check",)
 SCENARIO_COMMANDS = ("simulate-messenger",)
-REORDERED_COMMANDS = ("check-machine", "analyze-machine")
+REORDERED_COMMANDS = ("check-machine", "analyze-machine", "generate")
 
 
 def mutate(rng: random.Random, corpus: list[str]) -> str:
