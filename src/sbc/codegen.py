@@ -22,7 +22,7 @@ from .model import (
     AppModel,
     Diagnostic,
     OperationUse,
-    ParamRef,
+    Ref,
     Resource,
     Screen,
     Severity,
@@ -108,7 +108,7 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
         for w in s.widgets:
             if w.kind in _TEXT_WIDGETS and isinstance(w.value, OperationUse):
                 text_ops.add(w.value.name)
-            elif w.kind in _TEXT_WIDGETS and isinstance(w.value, ParamRef):
+            elif w.kind in _TEXT_WIDGETS and isinstance(w.value, Ref):
                 displayed.add((s.name, w.value.name))
     for s in model.screens:
         for t in s.transitions:
@@ -124,7 +124,7 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
         return ValueType.OPAQUE
 
     sigs: dict[str, OpSignature] = {}
-    for op in model.operations:
+    for s, op in model.operations:
         if op.name in sigs:
             continue
         ptypes = []
@@ -132,7 +132,7 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
             v = a.value
             if isinstance(v, OperationUse):
                 ptypes.append(return_type(v.name))
-            elif isinstance(v, ParamRef):  # validate keeps a parameter's name apart from a widget's
+            elif isinstance(v, Ref) and v.name in s.all_params:
                 ptypes.append(ValueType.OPAQUE)
             else:
                 ptypes.append(ValueType.TEXT)  # a literal, or a widget's text
@@ -244,7 +244,7 @@ def _ops_stub(model: AppModel) -> GeneratedUnit:
 
 
 def build_manifest(model: AppModel) -> Manifest:
-    deps = sorted({op.capability[0] for op in model.operations if builtin_cap(op.capability) is not None})
+    deps = sorted({op.capability[0] for _, op in model.operations if builtin_cap(op.capability) is not None})
     uris = []
     for s in model.screens:
         for u in s.uris:

@@ -40,12 +40,11 @@ from .model import (
     AppModel,
     Diagnostic,
     OperationUse,
-    ParamRef,
     QualifiedId,
+    Ref,
     Severity,
     SourceSpan,
     Trust,
-    WidgetRef,
     builtin_cap,
     qualify,
     sites,
@@ -96,7 +95,7 @@ class InfluenceGraph:
 
 def _value_node(v, owner: str) -> Optional[QualifiedId]:
     """The graph node a value reference denotes, or None for literals."""
-    if isinstance(v, (ParamRef, WidgetRef)):
+    if isinstance(v, Ref):
         return qualify(v.name, owner)
     if isinstance(v, OperationUse):
         return qualify(v.name, OPERATION)
@@ -127,7 +126,7 @@ def build_influences(model: AppModel) -> InfluenceGraph:
     for p in model.proxies:
         for pn in p.uri.params:
             roles[qualify(pn, p.name)] = Role.PROXY_PARAM
-    for op in model.operations:
+    for _, op in model.operations:
         roles[qualify(op.name, OPERATION)] = Role.OP
 
     origin: dict[Edge, Optional[SourceSpan]] = {}
@@ -196,7 +195,7 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
         for p in s.uri_params:
             sources.add(qualify(p, s.name))
 
-    for op in model.operations:
+    for _, op in model.operations:
         f = qualify(op.name, OPERATION)
         if _op_source_untrusted(model, op):
             sources.add(f)

@@ -2,9 +2,11 @@ r"""Scenario-driven execution of storyboards.
 
 A run starts from a launch configuration, repeatedly extends the value store
 with the current screen's widget bindings, and takes the first transition
-whose user action occurred and whose guard holds, in declared order.  Values
-carry a taint set of originating identifiers so that dynamic flows can be
-checked against the static influence closure.
+whose user action occurred and whose guard holds, in declared order.  A name
+reads the current screen's store; a parameter of the screen that the store
+lacks takes its value from the scenario's `env` lines, and a widget does not.
+Values carry a taint set of originating identifiers so that dynamic flows can
+be checked against the static influence closure.
 
 Scenario files (`.scn`) are line-oriented:
 
@@ -42,10 +44,9 @@ from .model import (
     Gesture,
     Literal,
     OperationUse,
-    ParamRef,
     QualifiedId,
+    Ref,
     ValueBinding,
-    WidgetRef,
     builtin_cap,
     parse_uri,
     start_screen,
@@ -206,15 +207,13 @@ def resolve_value(
 ) -> Optional[Value]:
     if isinstance(binding, Literal):
         return Value(binding.text)
-    if isinstance(binding, WidgetRef):
-        return config.sigma.get(QualifiedId(binding.name, screen))
-    if isinstance(binding, ParamRef):
+    if isinstance(binding, Ref):
         q = QualifiedId(binding.name, screen)
         v = config.sigma.get(q)
         if v is not None:
             return v
         env = state.uri_env.get(binding.name)
-        if env is not None:
+        if env is not None and binding.name in model.screen(screen).all_params:
             return Value(env, frozenset({q}))
         return None
     if isinstance(binding, OperationUse):

@@ -81,12 +81,12 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class ParamRef:
-    name: str
+class Ref:
+    """A name that a value uses.  Widgets and parameters share a screen's
+    namespace, so a name is a parameter of the screen that uses it if it is
+    in `screen.all_params`, and otherwise a widget of that screen (validate
+    reports a name that is neither)."""
 
-
-@dataclass(frozen=True)
-class WidgetRef:
     name: str
 
 
@@ -115,7 +115,7 @@ class OperationUse:
     attr = _attr
 
 
-ValueBinding = Union[Literal, ParamRef, WidgetRef, OperationUse]
+ValueBinding = Union[Literal, Ref, OperationUse]
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +306,11 @@ class AppModel:
         return self._by_name[2].get(name)
 
     @cached_property
-    def operations(self) -> tuple[OperationUse, ...]:
-        """Every operation use in declaration order, those nested in arguments
-        and guards included: the one walk that every reader of the uses shares."""
-        return tuple(v for _, _, _, _, v in sites(self) if isinstance(v, OperationUse))
+    def operations(self) -> tuple[tuple[Screen, OperationUse], ...]:
+        """Every operation use with the screen that holds it, in declaration
+        order, those nested in arguments and guards included: the one walk
+        that every reader of the uses shares."""
+        return tuple((s, v) for s, _, _, _, v in sites(self) if isinstance(v, OperationUse))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +492,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
             positions[holder is not t].add(v.name)
             spans[id(v)] = v.span or span
             continue
-        if not isinstance(v, (ParamRef, WidgetRef)):
+        if not isinstance(v, Ref):
             continue
         if s is not scope:
             scope, params, widgets = s, set(s.all_params), {w.id for w in s.widgets}
@@ -499,7 +500,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
             continue
         if v.name not in widgets:
             d = _err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", span)
-        elif isinstance(v, ParamRef) and isinstance(holder, Widget):
+        elif isinstance(holder, Widget):
             d = _err("WF009", f"widget '{v.name}' cannot be the value of another widget", span)
         else:
             continue
@@ -510,7 +511,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
 
     # operation use consistency (global): arity and capability agreement
     uses: dict[str, list[OperationUse]] = {}
-    for op in model.operations:
+    for _, op in model.operations:
         uses.setdefault(op.name, []).append(op)
     for name, same in uses.items():
         arities = {len(op.args) for op in same}
@@ -527,7 +528,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
     # capability references must resolve to builtin or declared resources,
     # except foreign resources (another app's), which are legal and untrusted
     declared = {r.name: {c.name for c in r.capabilities} for r in model.resources}
-    for op in model.operations:
+    for _, op in model.operations:
         if op.capability is None:
             continue
         rn, cn = op.capability

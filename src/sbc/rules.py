@@ -126,7 +126,7 @@ def check_all(model: AppModel) -> list[Diagnostic]:
     """The five checks' findings, concatenated in the order above."""
     findings = check_access_control(model) + check_webview_whitelist(model)
     for rule in (_cert_pinning, _cipher_key, _http_use):
-        findings += filter(None, map(rule, model.operations))
+        findings += filter(None, (rule(op) for _, op in model.operations))
     return findings
 
 

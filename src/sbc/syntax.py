@@ -24,6 +24,9 @@ The grammar, informally:
 
 `and`/`or` associate left; `not` binds tightest.  `#` starts a comment.
 URI parameters are embraced trailing segments: "app://contacts/{y}".
+A name used as a value becomes a `Ref` whatever it names: a screen may use
+a name before it declares it, and the readers that need to know whether it
+is a parameter or a widget ask the screen (see `model.Ref`).
 
 A token is the plain `str` of its source text, and its first character is
 its kind: a letter or `_` starts an IDENT, a digit an INT, `"` a STRING
@@ -57,8 +60,8 @@ from .model import (
     Literal,
     OperationUse,
     ParamBinding,
-    ParamRef,
     ProxyScreen,
+    Ref,
     Resource,
     Screen,
     Severity,
@@ -68,7 +71,6 @@ from .model import (
     ValueBinding,
     Widget,
     WidgetKind,
-    WidgetRef,
     parse_uri,
 )
 
@@ -177,7 +179,6 @@ class _Parser:
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.nodes = 0  # operators and calls in the expression being parsed
-        self.refs: set[str] = set()  # the names that are widgets of the screen being read
 
     # -- token plumbing -----------------------------------------------------
 
@@ -334,40 +335,6 @@ class _Parser:
         while self.eat("uri"):
             uris.append(parse_uri(self.string("uri string")))
         self.expect("{")
-        uri_params = uris[0].params if uris else ()
-        body, errors = self.pos, len(self.diags)
-        params, widget_ids = self.declarations()
-        self.refs = widget_ids.difference(params, uri_params)
-        params, widgets, transitions = self.body()
-        refs = {w.id for w in widgets}.difference(params, uri_params)
-        if refs != self.refs and len(self.diags) == errors:
-            # a name spelled as a keyword misled declarations(): read the body again
-            self.pos, self.refs = body, refs
-            params, widgets, transitions = self.body()
-        return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(i0))
-
-    def declarations(self) -> tuple[set[str], set[str]]:
-        """The `param` names and the widget ids (`Kind Id =`) at the top level
-        of the screen body that starts at the current token, read ahead so that
-        value() can resolve a name; a model is returned only if nothing failed.
-        It stops at a token of _ENDS too, where an unclosed body ends, so that
-        it reads each token of a file once however many bodies are unclosed."""
-        toks, params, widgets = self.toks, set(), set()
-        depth, i = 1, self.pos
-        while depth and toks[i] not in _ENDS:
-            t = toks[i]
-            if t == "{":
-                depth += 1
-            elif t == "}":
-                depth -= 1
-            elif depth == 1 and t == "=" and toks[i - 2] in KINDS:
-                widgets.add(toks[i - 1])
-            elif depth == 1 and t == "param":
-                params.add(toks[i + 1])
-            i += 1
-        return params, widgets
-
-    def body(self) -> tuple[list[str], list[Widget], list[Transition]]:
         params: list[str] = []
         widgets: list[Widget] = []
         transitions: list[Transition] = []
@@ -383,7 +350,7 @@ class _Parser:
                     widgets.append(self.widget())
             except ParseError as e:
                 self.recover(e, item)
-        return params, widgets, transitions
+        return Screen(name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(i0))
 
     def widget(self) -> Widget:
         safe = self.eat("safe")
@@ -392,8 +359,6 @@ class _Parser:
         wid = self.ident("widget id")
         self.expect("=")
         value = self.expression(self.value)
-        if type(value) is WidgetRef:
-            value = ParamRef(value.name)  # a widget's own value never names a widget; validate reports it
         attrs = self.attrs() if self.at("[") else ()
         # an attribute group after an opcall value binds to the opcall; lift
         # widget-level keys back onto the widget itself
@@ -414,9 +379,7 @@ class _Parser:
             if self.toks[self.pos + 1] == "(":
                 return self.opcall()
             self.pos += 1
-            # a name that is both resolves to the parameter, and a name that
-            # is neither is left for validate to report
-            return WidgetRef(t) if t in self.refs else ParamRef(t)
+            return Ref(t)
         raise self.fail("expected a value")
 
     def opcall(self) -> OperationUse:
@@ -575,7 +538,7 @@ def _fmt_attrs(attrs) -> str:
 def _fmt_value(v) -> str:
     if isinstance(v, Literal):
         return _quote(v.text)
-    if isinstance(v, (ParamRef, WidgetRef)):
+    if isinstance(v, Ref):
         return v.name
     if isinstance(v, OperationUse):
         return _fmt_op(v)

@@ -21,14 +21,13 @@ from sbc.model import (
     Literal,
     OperationUse,
     ParamBinding,
-    ParamRef,
     ProxyScreen,
+    Ref,
     Screen,
     Transition,
     Uri,
     Widget,
     WidgetKind,
-    WidgetRef,
 )
 
 # value-position capabilities drawn from the builtin catalog, plus None
@@ -59,9 +58,9 @@ def _value(rng, pool, params, widgets, depth=0):
     if roll < 0.3 or (not params and not widgets and roll < 0.7):
         return Literal(rng.choice(["a", "b", "hello"]))
     if roll < 0.5 and params:
-        return ParamRef(rng.choice(params))
+        return Ref(rng.choice(params))
     if roll < 0.7 and widgets:
-        return WidgetRef(rng.choice(widgets))
+        return Ref(rng.choice(widgets))
     name = pool.pick(is_bool=False)
     if name is None or depth >= 2:
         return Literal("x")
@@ -125,9 +124,7 @@ def gen_model(seed: int) -> AppModel:
         wnames = [w.id for w in widgets]
         for j in range(rng.randint(0, 2)):
             kind = rng.choice([WidgetKind.TEXT_VIEW, WidgetKind.EDIT_TEXT])
-            v = _value(rng, pool, params, [])
-            if isinstance(v, WidgetRef):  # not legal as a widget's own value
-                v = Literal("w")
+            v = _value(rng, pool, params, [])  # no widgets: a widget's own value never names one
             widgets.append(Widget(kind, f"W{i}_{j}", v, safe=rng.random() < 0.15))
             wnames.append(f"W{i}_{j}")
 

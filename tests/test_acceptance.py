@@ -178,7 +178,7 @@ def test_08_codegen():
             assert f"controller {s.name}" in blob
         for r in model.resources:
             assert r.name in blob
-        for name in {u.name for u in model.operations}:
+        for name in {u.name for _, u in model.operations}:
             assert f"fun {name}(" in blob
 
 

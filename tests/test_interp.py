@@ -219,17 +219,18 @@ class TestEval:
             interp.eval_operation(messenger, "Messenger", OperationUse("f", ("OTHER", "cap")), c, state)
 
     def test_resolve_uri_env_fallback(self, messenger):
-        from sbc.model import ParamRef
+        from sbc.model import Ref
         state = ScenarioState(Scenario(uri_env=(("y", "q"),)))
         c = interp.init_app(messenger, state.scenario)
-        v = interp.resolve_value(messenger, "Contacts", ParamRef("y"), c, state)
+        v = interp.resolve_value(messenger, "Contacts", Ref("y"), c, state)
         assert v.payload == "q" and v.taint == {q("y@Contacts")}
 
     def test_resolve_missing_widget_undefined(self, messenger):
-        from sbc.model import WidgetRef
-        state = ScenarioState(Scenario())
+        from sbc.model import Ref
+        # Phone is a widget of Contacts, so the URI environment never supplies it
+        state = ScenarioState(Scenario(uri_env=(("Phone", "q"),)))
         c = interp.init_app(messenger, state.scenario)
-        assert interp.resolve_value(messenger, "Contacts", WidgetRef("Phone"), c, state) is None
+        assert interp.resolve_value(messenger, "Contacts", Ref("Phone"), c, state) is None
 
     def test_resolve_literal(self, messenger):
         from sbc.model import Literal

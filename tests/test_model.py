@@ -8,10 +8,9 @@ from sbc.model import (
     BUILTIN_CATALOG,
     OPERATION,
     Literal,
-    ParamRef,
+    Ref,
     Severity,
     Trust,
-    WidgetRef,
     boolean_position_ops,
     qualify,
     sites,
@@ -168,14 +167,14 @@ class TestSites:
         expected = [
             (s, None, button, False, Literal("b")),
             (s, None, text, False, f),
-            (s, None, f, False, ParamRef("p")),
+            (s, None, f, False, Ref("p")),
             (s, None, f, True, g),
             (s, None, g, False, Literal("x")),
-            (s, None, g, False, WidgetRef("B")),
+            (s, None, g, False, Ref("B")),
             (s, t, t, False, h),
-            (s, t, h, False, ParamRef("p")),
+            (s, t, h, False, Ref("p")),
             (s, t, t, False, k),
-            (s, t, binding, True, ParamRef("p")),
+            (s, t, binding, True, Ref("p")),
         ]
 
         def ids(site):  # screen, transition and holder by identity
@@ -185,7 +184,7 @@ class TestSites:
 
     def test_filters_over_sites(self):
         m = parse_text(SITES)
-        assert [op.name for op in m.operations] == ["f", "g", "h", "k"]
+        assert [(s.name, op.name) for s, op in m.operations] == [("S", "f"), ("S", "g"), ("S", "h"), ("S", "k")]
         assert boolean_position_ops(m) == {"h", "k"}
 
 

@@ -124,7 +124,7 @@ class TestCheckAll:
             m = load_fixture(str(path.relative_to(FIXTURES)))
             individual = rules.check_access_control(m) + rules.check_webview_whitelist(m)
             for rule in (rules._cert_pinning, rules._cipher_key, rules._http_use):
-                individual += [f for f in map(rule, m.operations) if f is not None]
+                individual += [f for _, op in m.operations if (f := rule(op)) is not None]
             assert rules.check_all(m) == individual, path.name
 
     def test_rules_independent(self):

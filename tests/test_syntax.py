@@ -3,6 +3,8 @@
 import glob
 import random
 import time
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,9 @@ from conftest import FIXTURES, parse_text
 from golden import reorder
 from modelgen import gen_model
 
-from sbc import syntax
-from sbc.model import Gesture, Literal, OperationUse, ParamRef, WidgetKind
+from sbc import codegen, syntax
+from sbc.codegen import ValueType
+from sbc.model import Gesture, Literal, OperationUse, Ref, WidgetKind
 
 ALL_FIXTURES = sorted(glob.glob(str(FIXTURES / "**" / "*.sbd"), recursive=True))
 
@@ -99,8 +102,8 @@ class TestParse:
         assert [(d.span.line, d.span.column, d.message) for d in out.diagnostics] == expected
 
     def test_unclosed_bodies_read_in_linear_time(self):
-        # the read-ahead of each unclosed body stops at the next screen, not at
-        # the end of the file (4,000 such bodies took 6.5 s when it did not)
+        # each unclosed body ends at the next screen, not at the end of the
+        # file (4,000 such bodies took 6.5 s when a read-ahead did not stop)
         t0 = time.perf_counter()
         out = syntax.parse('app "a"\n' + 'screen S {\n  Button B = "b"\n' * 4000, "t")
         assert time.perf_counter() - t0 < 1
@@ -170,15 +173,16 @@ class TestParse:
     def test_name_resolution_param_vs_widget(self):
         m = parse_text('app "a" screen S { param p\nTextView T = p\nTextView U = f(T) }')
         s = m.screens[0]
-        assert isinstance(s.widgets[0].value, ParamRef)
-        assert type(s.widgets[1].value.args[0].value).__name__ == "WidgetRef"
+        # a name is a parameter of the screen that uses it, or else its widget
+        assert s.widgets[0].value == Ref("p") and "p" in s.all_params
+        assert s.widgets[1].value.args[0].value == Ref("T") and "T" not in s.all_params
 
 
     def test_name_spelled_as_a_keyword_resolves(self):
         # `param` after `dest` names a screen, so Button here is no parameter
         m = parse_text('app "a" screen param { }\nscreen S { transition t order 1 dest param\n'
                        'Button Button = "b"\nTextView U = f(Button) }')
-        assert type(m.screens[1].widgets[1].value.args[0].value).__name__ == "WidgetRef"
+        assert codegen.infer_signatures(m)["f"].param_types == (ValueType.TEXT,)  # a widget's text
 
 
 class TestFormat:
@@ -290,6 +294,13 @@ class TestExpressionLimit:
         assert syntax.parse(text.replace("Button B", "param p Button B"), "t").ok
 
 
+def _in_name_order(m):
+    """The model with each screen's parameters, widgets and transitions sorted by name."""
+    return replace(m, screens=tuple(
+        replace(s, params=tuple(sorted(s.params)), widgets=tuple(sorted(s.widgets, key=attrgetter("id"))),
+                transitions=tuple(sorted(s.transitions, key=attrgetter("id")))) for s in m.screens))
+
+
 class TestRandomModels:
     def test_format_parse_format_fixed_point(self):
         for seed in range(1000):
@@ -307,3 +318,7 @@ class TestRandomModels:
             for want, got in zip(m.screens, out.model.screens, strict=True):
                 assert set(got.widgets) == set(want.widgets), (seed, want.name)
                 assert set(got.transitions) == set(want.transitions), (seed, want.name)
+            # a signature is typed from each operation's first use, so the
+            # items are compared in one order
+            got, want = (codegen.infer_signatures(_in_name_order(x)) for x in (out.model, m))
+            assert got == want, seed
