@@ -161,8 +161,9 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
 MAX_EXPRESSION_NODES = 100
 
 # The end of the input and the words that start a storyboard item, which no
-# block item starts with: at the start of an item they end every open block
-# whose '}' is missing, and recovery stops at them at any depth.
+# block item starts with and no name or value is: at the start of an item they
+# end every open block whose '}' is missing, and recovery stops at them at any
+# depth.
 _ENDS = frozenset({"", "screen", "start", "proxy", "resource"})
 # the words that start a block item, where recovery inside a block also stops
 _RESUME = frozenset({"transition", "param", *KINDS})
@@ -206,7 +207,7 @@ class _Parser:
 
     def ident(self, what: str) -> str:
         t = self.toks[self.pos]
-        if t[:1] in _IDENT_START:
+        if t[:1] in _IDENT_START and t not in _ENDS:
             self.pos += 1
             return t
         raise self.fail(f"expected {what}")
@@ -375,7 +376,7 @@ class _Parser:
         if t[:1] == '"':
             self.pos += 1
             return Literal(_unquote(t))
-        if t[:1] in _IDENT_START:
+        if t[:1] in _IDENT_START and t not in _ENDS:
             if self.toks[self.pos + 1] == "(":
                 return self.opcall()
             self.pos += 1

@@ -94,12 +94,26 @@ class TestParse:
         ('screen S {\n  Button B = "b"\n  transition t order 1 dest S cond B.click {\n    param p = "x"\n'
          'screen R { }\n', [(6, 1, "expected 'param' or '}', found 'screen'")]),
         ('resource R access own { capability c\nscreen S { }\n', [(3, 1, "expected 'capability' or '}', found 'screen'")]),
+        ('screen S {\n  Button B = "b"\n  transition t order 1 dest S cond B.click {\n    param p = \n'
+         'screen R { }\n', [(6, 1, "expected a value, found 'screen'")]),
     ], ids=["screen", "next-screen-read", "start", "pattern-set", "pattern-set-and-screen", "attribute-value",
-            "binding-block", "resource"])
+            "binding-block", "resource", "missing-value"])
     def test_a_missing_brace_ends_the_block_at_the_next_item(self, text, expected):
         # one error for the missing '}'; the items after it are read as items
         out = syntax.parse('app "a"\n' + text, "t")
         assert [(d.span.line, d.span.column, d.message) for d in out.diagnostics] == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ('screen S { TextView T = proxy }', "expected a value, found 'proxy'"),
+        ('screen S { TextView T = f(start) }', "expected a value, found 'start'"),
+        ('screen S { Button screen = "b" }', "expected widget id, found 'screen'"),
+        ('screen S { TextView T = resource() }', "expected a value, found 'resource'"),
+        ('screen proxy { }', "expected screen name, found 'proxy'"),
+    ], ids=["value", "argument", "widget-id", "operation", "screen-name"])
+    def test_an_item_word_is_no_name(self, text, expected):
+        # the words that start a storyboard item are reserved
+        out = syntax.parse('app "a"\n' + text, "t")
+        assert out.diagnostics[0].message == expected
 
     def test_unclosed_bodies_read_in_linear_time(self):
         # each unclosed body ends at the next screen, not at the end of the
