@@ -117,8 +117,9 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
 # from every position.
 _TOKEN = re.compile(rf"((?:{_BLANK}|{_STRING}(?![^\n])|{_BAD})*)({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
 # The errors in the joined skipped text, where a comment or an unterminated
-# string still ends at the newline, or the end, that is skipped with it.
-_ERRORS = re.compile(rf"\#[^\n]*|({_STRING})|({_BAD})")
+# string still ends at the newline, or the end, that is skipped with it, and a
+# run of characters that start no token may join the runs of two skips.
+_ERRORS = re.compile(rf"\#[^\n]*|({_STRING})|({_BAD}+)")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
@@ -137,7 +138,9 @@ def _span(file: str, starts: list[int], offset: int, length: int) -> SourceSpan:
 
 
 def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
-    """The tokens, ending with one "", their offsets, and the PAR001 diagnostics."""
+    """The tokens, ending with one "", their offsets, and the PAR001 diagnostics:
+    one per unterminated string and one per run of characters that start no
+    token."""
     parts = _TOKEN.split(text)
     toks = parts[2::3]
     offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))
@@ -149,10 +152,18 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
         if g := m.lastindex:
             if ends is None:
                 ends, starts = list(accumulate(map(len, skipped))), _line_starts(text)
-            k = bisect_right(ends, m.start(g))
-            offset = offsets[k] - ends[k] + m.start(g)
-            msg = "unterminated string literal" if g == 1 else f"unexpected character {m[2]!r}"
-            diags.append(Diagnostic(Severity.ERROR, "PAR001", msg, _span(file, starts, offset, len(m[g]))))
+            i, j = m.span(g)
+            while i < j:  # the part of the match that one skip holds
+                k = bisect_right(ends, i)
+                n = min(j, ends[k]) - i
+                if g == 1:
+                    msg = "unterminated string literal"
+                elif n == 1:
+                    msg = f"unexpected character {m.string[i]!r}"
+                else:
+                    msg = f"{n} unexpected characters starting with {m.string[i]!r}"
+                diags.append(Diagnostic(Severity.ERROR, "PAR001", msg, _span(file, starts, offsets[k] - ends[k] + i, n)))
+                i += n
     return toks, offsets, diags
 
 

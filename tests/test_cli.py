@@ -343,9 +343,11 @@ class TestCheck:
         (" \t\r" * 33_334, []),
         ('\n"' + "x" * 1_000_000, [("PAR001", 3, 1, 1_000_001)]),
         ("#" * 200_000, []),
-    ], ids=["spaces", "tabs-and-crs", "unterminated-string", "comment"])
+        ("@" * 300_000, [("PAR001", 2, 13, 300_000)]),
+    ], ids=["spaces", "tabs-and-crs", "unterminated-string", "comment", "bad-characters"])
     def test_long_tail_read_in_linear_time(self, capsys, tmp_path, tail, diags):
-        # blanks, a comment or a string that run to the end of the input are read once
+        # blanks, a comment, a string or a run of bad characters that run to
+        # the end of the input are read once and give one diagnostic at most
         text = 'app "a"\nscreen S { }' + tail
         t0 = time.perf_counter()
         out = syntax.parse(text, "t")

@@ -253,12 +253,16 @@ class TestLex:
          [("PAR001", "unexpected character '-'", 1, 21, 1)]),
         ('"é²" é ²', [("STRING", "é²", 1, 1, 4), ("EOF", "", 1, 9, 0)],
          [("PAR001", "unexpected character 'é'", 1, 6, 1), ("PAR001", "unexpected character '²'", 1, 8, 1)]),
+        ("x @@@ y", [("IDENT", "x", 1, 1, 1), ("IDENT", "y", 1, 7, 1), ("EOF", "", 1, 8, 0)],
+         [("PAR001", "3 unexpected characters starting with '@'", 1, 3, 3)]),
+        ("@a@", [("IDENT", "a", 1, 2, 1), ("EOF", "", 1, 4, 0)],
+         [("PAR001", "unexpected character '@'", 1, 1, 1), ("PAR001", "unexpected character '@'", 1, 3, 1)]),
         ("a # c", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 6, 0)], []),
         ("a \t ", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 5, 0)], []),
         ("{}()[]=,.", [("PUNCT", c, 1, i, 1) for i, c in enumerate("{}()[]=,.", 1)] + [("EOF", "", 1, 10, 0)], []),
     ], ids=["escaped-quote-last", "escaped-backslash-last", "backslash-at-eof", "backslash-outside-string",
-            "escaped-quote-at-newline", "crlf", "int-then-ident", "dash-in-ident", "non-ascii", "comment-at-eof",
-            "blanks-at-eof", "punctuation"])
+            "escaped-quote-at-newline", "crlf", "int-then-ident", "dash-in-ident", "non-ascii", "bad-run",
+            "bad-runs-apart", "comment-at-eof", "blanks-at-eof", "punctuation"])
     def test_golden(self, text, tokens, diags):
         assert lex(text) == (tokens, diags)
 
