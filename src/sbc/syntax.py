@@ -153,7 +153,7 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
             if ends is None:
                 ends, starts = list(accumulate(map(len, skipped))), _line_starts(text)
             i, j = m.span(g)
-            while i < j:  # the part of the match that one skip holds
+            while i < j:  # one diagnostic per skip that the match spans
                 k = bisect_right(ends, i)
                 n = min(j, ends[k]) - i
                 if g == 1:

@@ -28,6 +28,14 @@ class TestSignatures:
         sig = codegen.infer_signatures(m)["f"]
         assert sig.return_type is ValueType.OPAQUE
 
+    @pytest.mark.parametrize("body", ['param p\nTextView T = "t"\nTextView U = f(p, T, "x")',
+                                      'TextView U = f(p, T, "x")\nTextView T = "t"\nparam p'],
+                             ids=["declared-first", "declared-after-use"])
+    def test_argument_types_follow_the_screen(self, body):
+        # a parameter of the using screen is opaque; a widget gives its text
+        m = parse_text('app "a" screen S { ' + body + " }")
+        assert codegen.infer_signatures(m)["f"].param_types == (ValueType.OPAQUE, ValueType.TEXT, ValueType.TEXT)
+
     def test_text_via_displayed_param(self):
         m = parse_text(
             'app "a" screen S { Button B = "b"\n'
