@@ -2,8 +2,11 @@ r"""Scenario-driven execution of storyboards.
 
 A run starts from a launch configuration, repeatedly extends the value store
 with the current screen's widget bindings, and takes the first transition
-whose user action occurred and whose guard holds, in declared order.  A name
-reads the current screen's store; a parameter of the screen that the store
+whose user action occurred and whose guard holds, in declared order.  Step n
+takes the scenario's nth gesture, whether or not a transition fires on it;
+after the last gesture only transitions without a user action can fire.
+Widgets, guards and bindings are evaluated against the current screen and
+its store: a name reads the store, a parameter of the screen that the store
 lacks takes its value from the scenario's `env` lines, and a widget does not.
 Values carry a taint set of originating identifiers so that dynamic flows can
 be checked against the static influence closure.
@@ -46,6 +49,7 @@ from .model import (
     OperationUse,
     QualifiedId,
     Ref,
+    Screen,
     ValueBinding,
     builtin_cap,
     parse_uri,
@@ -159,25 +163,16 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
 
 
 class ScenarioState:
-    """Consumption cursors over an immutable Scenario."""
+    """Consumption cursors over an immutable Scenario; `steps_taken` is the gesture cursor too."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.gesture_index = 0
         self.op_ordinal: dict[str, int] = {}
         self.results_by_name: dict[str, list] = {}  # scripted results, in order
         for name, res in scenario.op_results:
             self.results_by_name.setdefault(name, []).append(res)
         self.steps_taken = 0
         self.uri_env = dict(scenario.uri_env)
-
-    def peek_gesture(self) -> Optional[tuple[str, Gesture]]:
-        gs = self.scenario.gestures
-        return gs[self.gesture_index] if self.gesture_index < len(gs) else None
-
-    def consume_gesture(self):
-        if self.gesture_index < len(self.scenario.gestures):
-            self.gesture_index += 1
 
     def next_result(self, name: str) -> tuple[int, Optional[Union[str, bool]]]:
         """Next scripted result for an operation, with its 1-based ordinal."""
@@ -195,53 +190,35 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Value resolution and operation evaluation
+# Value resolution and operation evaluation, against the current screen's store
 
 
 def resolve_value(
-    model: AppModel,
-    screen: str,
-    binding: ValueBinding,
-    config: Configuration,
-    state: ScenarioState,
+    model: AppModel, screen: Screen, binding: ValueBinding, sigma: dict, state: ScenarioState
 ) -> Optional[Value]:
     if isinstance(binding, Literal):
         return Value(binding.text)
     if isinstance(binding, Ref):
-        q = QualifiedId(binding.name, screen)
-        v = config.sigma.get(q)
+        q = QualifiedId(binding.name, screen.name)
+        v = sigma.get(q)
         if v is not None:
             return v
         env = state.uri_env.get(binding.name)
-        if env is not None and binding.name in model.screen(screen).all_params:
+        if env is not None and binding.name in screen.all_params:
             return Value(env, frozenset({q}))
         return None
-    if isinstance(binding, OperationUse):
-        return eval_operation(model, screen, binding, config, state)
-    raise TypeError(binding)
-
-
-def _check_capability(model: AppModel, op: OperationUse):
-    if op.capability is None:
-        return
-    rn, _ = op.capability
-    if builtin_cap(op.capability) is not None or model.resource(rn) is not None:
-        return
-    raise ScenarioError(f"operation '{op.name}' uses capability {rn}.{op.capability[1]} not available to this app")
+    return eval_operation(model, screen, binding, sigma, state)
 
 
 def eval_operation(
-    model: AppModel,
-    screen: str,
-    op: OperationUse,
-    config: Configuration,
-    state: ScenarioState,
-    as_bool: bool = False,
+    model: AppModel, screen: Screen, op: OperationUse, sigma: dict, state: ScenarioState, as_bool: bool = False
 ) -> Value:
-    _check_capability(model, op)
+    cap = op.capability
+    if cap is not None and builtin_cap(cap) is None and model.resource(cap[0]) is None:
+        raise ScenarioError(f"operation '{op.name}' uses capability {cap[0]}.{cap[1]} not available to this app")
     taint: set[QualifiedId] = set()
     for a in op.args:
-        v = resolve_value(model, screen, a.value, config, state)
+        v = resolve_value(model, screen, a.value, sigma, state)
         if v is not None:
             taint |= v.taint
     if _op_source_untrusted(model, op):
@@ -253,28 +230,18 @@ def eval_operation(
     return Value(payload, frozenset(taint))
 
 
-def eval_bool(
-    model: AppModel,
-    screen: str,
-    expr: BoolExpr,
-    config: Configuration,
-    state: ScenarioState,
-) -> bool:
+def eval_bool(model: AppModel, screen: Screen, expr: BoolExpr, sigma: dict, state: ScenarioState) -> bool:
     if isinstance(expr, BConst):
         return expr.value
     if isinstance(expr, BOp):
-        return eval_operation(model, screen, expr.op, config, state, as_bool=True).payload == "true"
+        return eval_operation(model, screen, expr.op, sigma, state, as_bool=True).payload == "true"
     if isinstance(expr, BAnd):
         # left-to-right, short-circuit: the right operand's operations keep
         # their ordinals unconsumed when the left already decides
-        return eval_bool(model, screen, expr.left, config, state) and eval_bool(
-            model, screen, expr.right, config, state
-        )
+        return eval_bool(model, screen, expr.left, sigma, state) and eval_bool(model, screen, expr.right, sigma, state)
     if isinstance(expr, BOr):
-        return eval_bool(model, screen, expr.left, config, state) or eval_bool(model, screen, expr.right, config, state)
-    if isinstance(expr, BNot):
-        return not eval_bool(model, screen, expr.inner, config, state)
-    raise TypeError(expr)
+        return eval_bool(model, screen, expr.left, sigma, state) or eval_bool(model, screen, expr.right, sigma, state)
+    return not eval_bool(model, screen, expr.inner, sigma, state)
 
 
 # ---------------------------------------------------------------------------
@@ -297,64 +264,55 @@ def init_app(model: AppModel, scenario: Scenario) -> Configuration:
     raise ScenarioError(f"no screen exports URI '{scenario.launch_uri}'")
 
 
-def step(
-    model: AppModel, config: Configuration, state: ScenarioState
-) -> tuple[Configuration, str, list[tuple]]:
+def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[Configuration, str, list[tuple]]:
     """One small step.  Returns (configuration, rule name, events)."""
     if config.terminal:
         raise ScenarioError("cannot step a terminal configuration")
-    state.steps_taken += 1
-    stop_after = state.scenario.stop_after
-    if stop_after is not None and state.steps_taken >= stop_after:
+    state.steps_taken = n = state.steps_taken + 1
+    scenario = state.scenario
+    if scenario.stop_after is not None and n >= scenario.stop_after:
         return TERMINAL, "stop", []
 
     screen = model.screen(config.current)
     name = screen.name
     sigma = dict(config.sigma)
-    extended = Configuration(name, sigma)
 
     # widget extension: (re)bind every widget of the current screen, in order
     for w in screen.widgets:
-        v = resolve_value(model, name, w.value, extended, state)
+        v = resolve_value(model, screen, w.value, sigma, state)
         if v is not None:
             holder = QualifiedId(w.id, name)
             sigma[holder] = Value(v.payload, v.taint | {holder})
 
-    gesture = state.peek_gesture()
-    fired = None
-    for t in screen.ordered_transitions:
-        if t.user_action is not None and t.user_action != gesture:
-            continue
-        if t.guard is not None and not eval_bool(model, name, t.guard, extended, state):
-            continue
-        fired = t
-        break
-    if gesture is not None:
-        state.consume_gesture()
-
-    if fired is None:
-        return extended, "no-transition", []
+    gestures = scenario.gestures
+    gesture = gestures[n - 1] if n <= len(gestures) else None
+    for t in screen.ordered_transitions:  # the first whose action occurred and whose guard holds fires
+        if t.user_action in (None, gesture) and (t.guard is None or eval_bool(model, screen, t.guard, sigma, state)):
+            break
+    else:
+        return Configuration(name, sigma), "no-transition", []
 
     # compute destination bindings against the pre-transition store
     bound: dict[QualifiedId, Value] = {}
-    for b in fired.bindings:
-        v = resolve_value(model, name, b.value, extended, state)
+    for b in t.bindings:
+        v = resolve_value(model, screen, b.value, sigma, state)
         if v is not None:
-            target = QualifiedId(b.target, fired.dest)
+            target = QualifiedId(b.target, t.dest)
             bound[target] = Value(v.payload, v.taint | {target})
 
-    if model.proxy(fired.dest) is not None:
+    if model.proxy(t.dest) is not None:
         # leaving the app: hand the outbound values to the external screen
-        event = ("proxy-exit", fired.dest, {str(q): v for q, v in bound.items()})
+        event = ("proxy-exit", t.dest, {str(q): v for q, v in bound.items()})
         return TERMINAL, "proxy-exit", [event]
 
-    if fired.dest == name:
+    if t.dest == name:
         # self-transition: parameters survive, widget entries are cleared
-        widget_ids = {QualifiedId(w.id, name) for w in screen.widgets}
-        new_sigma = {q: v for q, v in sigma.items() if q not in widget_ids} | bound
-        return Configuration(name, new_sigma), "self-transition", []
+        for w in screen.widgets:
+            sigma.pop(QualifiedId(w.id, name), None)
+        sigma.update(bound)
+        return Configuration(name, sigma), "self-transition", []
 
-    return Configuration(fired.dest, bound), "transition", []
+    return Configuration(t.dest, bound), "transition", []
 
 
 def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
@@ -364,11 +322,7 @@ def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
     trace = Trace([])
     try:
         config = init_app(model, scenario)
-    except ScenarioError as e:
-        trace.error = str(e)
-        return trace
-    trace.steps.append(("init", config))
-    try:
+        trace.steps.append(("init", config))
         for _ in range(step_budget):
             if config.terminal:
                 break

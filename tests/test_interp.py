@@ -141,10 +141,18 @@ class TestStep:
         assert c.current == "SaveStatus"
 
     def test_gesture_consumed_even_without_fire(self, messenger):
-        sc = Scenario(gestures=(("Send", Gesture.CLICK),), op_results=(("sendMsg", False),))
+        # step n takes gesture n: a step that fires nothing still uses up its gesture
+        sc = Scenario(gestures=(("Send", Gesture.CLICK), ("Add", Gesture.CLICK)), op_results=(("sendMsg", False),))
         state = ScenarioState(sc)
-        interp.step(messenger, interp.init_app(messenger, sc), state)
-        assert state.peek_gesture() is None
+        c, rule, _ = interp.step(messenger, interp.init_app(messenger, sc), state)
+        assert (rule, c.current) == ("no-transition", "Messenger")
+        c, rule, _ = interp.step(messenger, c, state)
+        assert (rule, c.current) == ("transition", "Contacts")
+
+    def test_stop_between_gestures(self, messenger):
+        t = interp.run(messenger, interp.parse_scenario("launch\nclick Save\nstop\nclick Send\n"), step_budget=5)
+        assert [(r, c.current) for r, c in t.steps] == [("init", "Messenger"), ("no-transition", "Messenger"),
+                                                        ("stop", None)]
 
     def test_proxy_exit_carries_outbound_values(self, messenger):
         sc = Scenario(launch_uri="app://contacts/{y}", launch_args=(("y", "777"),),
@@ -177,66 +185,62 @@ class TestStep:
 
 
 class TestEval:
+    # the evaluators read a screen and its store; a plain launch's store is empty
     def test_and_const(self, messenger):
         from sbc.model import BAnd, BConst
         state = ScenarioState(Scenario())
-        c = interp.init_app(messenger, state.scenario)
-        assert interp.eval_bool(messenger, "Messenger", BAnd(BConst(True), BConst(False)), c, state) is False
+        screen = messenger.screen("Messenger")
+        assert interp.eval_bool(messenger, screen, BAnd(BConst(True), BConst(False)), {}, state) is False
 
     def test_not_scripted_false(self, messenger):
         from sbc.model import BNot, BOp, OperationUse
         state = ScenarioState(Scenario(op_results=(("f", False),)))
-        c = interp.init_app(messenger, state.scenario)
-        assert interp.eval_bool(messenger, "Messenger", BNot(BOp(OperationUse("f", None))), c, state) is True
+        screen = messenger.screen("Messenger")
+        assert interp.eval_bool(messenger, screen, BNot(BOp(OperationUse("f", None))), {}, state) is True
 
     def test_or_short_circuit_preserves_ordinals(self, messenger):
         from sbc.model import BOp, BOr, OperationUse
         state = ScenarioState(Scenario(op_results=(("f", True), ("g", False))))
-        c = interp.init_app(messenger, state.scenario)
         expr = BOr(BOp(OperationUse("f", None)), BOp(OperationUse("g", None)))
-        assert interp.eval_bool(messenger, "Messenger", expr, c, state) is True
+        assert interp.eval_bool(messenger, messenger.screen("Messenger"), expr, {}, state) is True
         assert "g" not in state.op_ordinal  # right operand never evaluated
 
     def test_default_results(self, messenger):
         from sbc.model import OperationUse
         state = ScenarioState(Scenario())
-        c = interp.init_app(messenger, state.scenario)
-        v = interp.eval_operation(messenger, "Messenger", OperationUse("mystery", None), c, state)
+        v = interp.eval_operation(messenger, messenger.screen("Messenger"), OperationUse("mystery", None), {}, state)
         assert v.payload == "<mystery#1>"
 
     def test_untrusted_source_taints_result(self, messenger):
         from sbc.model import OperationUse
         state = ScenarioState(Scenario())
-        c = interp.init_app(messenger, state.scenario)
-        v = interp.eval_operation(messenger, "Messenger", OperationUse("pull", ("EXT_STORE", "read")), c, state)
+        screen = messenger.screen("Messenger")
+        v = interp.eval_operation(messenger, screen, OperationUse("pull", ("EXT_STORE", "read")), {}, state)
         assert q("pull") in v.taint
 
     def test_foreign_capability_rejected_at_runtime(self, messenger):
         from sbc.model import OperationUse
         state = ScenarioState(Scenario())
-        c = interp.init_app(messenger, state.scenario)
+        screen = messenger.screen("Messenger")
         with pytest.raises(interp.ScenarioError):
-            interp.eval_operation(messenger, "Messenger", OperationUse("f", ("OTHER", "cap")), c, state)
+            interp.eval_operation(messenger, screen, OperationUse("f", ("OTHER", "cap")), {}, state)
 
     def test_resolve_uri_env_fallback(self, messenger):
         from sbc.model import Ref
         state = ScenarioState(Scenario(uri_env=(("y", "q"),)))
-        c = interp.init_app(messenger, state.scenario)
-        v = interp.resolve_value(messenger, "Contacts", Ref("y"), c, state)
+        v = interp.resolve_value(messenger, messenger.screen("Contacts"), Ref("y"), {}, state)
         assert v.payload == "q" and v.taint == {q("y@Contacts")}
 
     def test_resolve_missing_widget_undefined(self, messenger):
         from sbc.model import Ref
         # Phone is a widget of Contacts, so the URI environment never supplies it
         state = ScenarioState(Scenario(uri_env=(("Phone", "q"),)))
-        c = interp.init_app(messenger, state.scenario)
-        assert interp.resolve_value(messenger, "Contacts", Ref("Phone"), c, state) is None
+        assert interp.resolve_value(messenger, messenger.screen("Contacts"), Ref("Phone"), {}, state) is None
 
     def test_resolve_literal(self, messenger):
         from sbc.model import Literal
         state = ScenarioState(Scenario())
-        c = interp.init_app(messenger, state.scenario)
-        v = interp.resolve_value(messenger, "Messenger", Literal("hi"), c, state)
+        v = interp.resolve_value(messenger, messenger.screen("Messenger"), Literal("hi"), {}, state)
         assert v.payload == "hi" and v.taint == frozenset()
 
 
