@@ -1,7 +1,8 @@
 """Golden-output gate: what the `sbc` CLI prints and writes on a fixed corpus.
 
     python tests/golden.py            check the CLI against tests/golden.json
-    python tests/golden.py --update   rewrite tests/golden.json
+    python tests/golden.py --update   rewrite tests/golden.json, first listing the
+                                      pairs it overwrites and a count per class
 
 The corpus is seeded and built in memory: the fixtures; `modelgen.gen_model`
 seeds 10000-10299, formatted by `format_model`, and two copies of each with
@@ -43,6 +44,7 @@ import random
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -260,8 +262,8 @@ def compute() -> dict[str, dict[str, str]]:
     return result
 
 
-def differences(want: dict, got: dict) -> list[str]:
-    """Every (input, command) whose digest differs, is missing or is new."""
+def changed_pairs(want: dict, got: dict) -> list[tuple[str, str, str]]:
+    """(input, command, what) for every pair whose digest differs, is missing or is new."""
     out = []
     for name in sorted(set(want) | set(got)):
         w, g = want.get(name, {}), got.get(name, {})
@@ -272,8 +274,24 @@ def differences(want: dict, got: dict) -> list[str]:
                     what = "no longer run"
                 elif command not in w:
                     what = "not in golden.json"
-                out.append(f"{name} [{command}]: {what}")
+                out.append((name, command, what))
     return out
+
+
+def differences(want: dict, got: dict) -> list[str]:
+    """One line per changed (input, command) pair."""
+    return [f"{name} [{command}]: {what}" for name, command, what in changed_pairs(want, got)]
+
+
+def update_report(want: dict, got: dict) -> list[str]:
+    """The pairs an update overwrites, then how many in each (input directory, command) class."""
+    pairs = changed_pairs(want, got)
+    classes = Counter((name.split("/", 1)[0], command) for name, command, _ in pairs)
+    return [
+        *(f"{name} [{command}]: {what}" for name, command, what in pairs),
+        *(f"{n} {top}/ [{command}]" for (top, command), n in sorted(classes.items())),
+        f"{len(pairs)} pairs changed in {len(classes)} classes",
+    ]
 
 
 def dump(digests: dict[str, dict[str, str]]) -> str:
@@ -288,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     got = compute()
     if args.update:
+        want = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+        print("\n".join(update_report(want, got)))
         GOLDEN.write_text(dump(got), encoding="utf-8")
         print(f"wrote {len(got)} inputs to {GOLDEN}")
         return 0
