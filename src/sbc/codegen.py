@@ -123,22 +123,27 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
             return ValueType.TEXT
         return ValueType.OPAQUE
 
-    sigs: dict[str, OpSignature] = {}
+    def arg_type(screen: Screen, v) -> ValueType:
+        if isinstance(v, OperationUse):
+            return return_type(v.name)
+        if isinstance(v, Ref) and v.name in screen.all_params:
+            return ValueType.OPAQUE
+        return ValueType.TEXT  # a literal, or a widget's text
+
+    # an argument is typed from every use of its operation: opaque where they disagree
+    uses: dict[str, OperationUse] = {}  # the first use of each operation
+    params: dict[str, tuple[ValueType, ...]] = {}
     for s, op in model.operations:
-        if op.name in sigs:
-            continue
-        ptypes = []
-        for a in op.args:
-            v = a.value
-            if isinstance(v, OperationUse):
-                ptypes.append(return_type(v.name))
-            elif isinstance(v, Ref) and v.name in s.all_params:
-                ptypes.append(ValueType.OPAQUE)
-            else:
-                ptypes.append(ValueType.TEXT)  # a literal, or a widget's text
+        ptypes = tuple(arg_type(s, a.value) for a in op.args)
+        seen = params.get(op.name, ptypes)
+        params[op.name] = tuple(t if t is u else ValueType.OPAQUE for t, u in zip(seen, ptypes))
+        uses.setdefault(op.name, op)
+    sigs = {}
+    for name in sorted(params):
+        op = uses[name]
         body = BodyKind.FROM_CAPABILITY if builtin_cap(op.capability) else BodyKind.EMPTY_HOOK
-        sigs[op.name] = OpSignature(op.name, tuple(ptypes), return_type(op.name), op.capability, body)
-    return dict(sorted(sigs.items()))
+        sigs[name] = OpSignature(name, params[name], return_type(name), op.capability, body)
+    return sigs
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,14 @@ class TestSignatures:
         m = parse_text('app "a" screen S { ' + body + " }")
         assert codegen.infer_signatures(m)["f"].param_types == (ValueType.OPAQUE, ValueType.TEXT, ValueType.TEXT)
 
+    @pytest.mark.parametrize("order", [0, 1], ids=["literal-first", "param-first"])
+    def test_disagreeing_uses_make_an_argument_opaque(self, order):
+        # f's first argument is text in one use and a parameter in the other,
+        # whichever comes first; its second is text in both
+        uses = ['TextView T = f("x", "y")', 'TextView U = f(p, "y")']
+        m = parse_text('app "a" screen S { param p\n' + "\n".join(uses[order:] + uses[:order]) + " }")
+        assert codegen.infer_signatures(m)["f"].param_types == (ValueType.OPAQUE, ValueType.TEXT)
+
     def test_text_via_displayed_param(self):
         m = parse_text(
             'app "a" screen S { Button B = "b"\n'

@@ -3,8 +3,6 @@
 import glob
 import random
 import time
-from dataclasses import replace
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -312,13 +310,6 @@ class TestExpressionLimit:
         assert syntax.parse(text.replace("Button B", "param p Button B"), "t").ok
 
 
-def _in_name_order(m):
-    """The model with each screen's parameters, widgets and transitions sorted by name."""
-    return replace(m, screens=tuple(
-        replace(s, params=tuple(sorted(s.params)), widgets=tuple(sorted(s.widgets, key=attrgetter("id"))),
-                transitions=tuple(sorted(s.transitions, key=attrgetter("id")))) for s in m.screens))
-
-
 class TestRandomModels:
     def test_format_parse_format_fixed_point(self):
         for seed in range(1000):
@@ -336,7 +327,4 @@ class TestRandomModels:
             for want, got in zip(m.screens, out.model.screens, strict=True):
                 assert set(got.widgets) == set(want.widgets), (seed, want.name)
                 assert set(got.transitions) == set(want.transitions), (seed, want.name)
-            # a signature is typed from each operation's first use, so the
-            # items are compared in one order
-            got, want = (codegen.infer_signatures(_in_name_order(x)) for x in (out.model, m))
-            assert got == want, seed
+            assert codegen.infer_signatures(out.model) == codegen.infer_signatures(m), seed
