@@ -43,18 +43,12 @@ class ValueType(Enum):
     OPAQUE = "opaque"
 
 
-class BodyKind(Enum):
-    FROM_CAPABILITY = "generated-from-capability"
-    EMPTY_HOOK = "empty-hook"
-
-
 @dataclass(frozen=True)
 class OpSignature:
     name: str
     param_types: tuple[ValueType, ...]
     return_type: ValueType
     capability: Optional[tuple[str, str]]
-    body: BodyKind
 
 
 @dataclass(frozen=True)
@@ -131,19 +125,14 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
         return ValueType.TEXT  # a literal, or a widget's text
 
     # an argument is typed from every use of its operation: opaque where they disagree
-    uses: dict[str, OperationUse] = {}  # the first use of each operation
     params: dict[str, tuple[ValueType, ...]] = {}
+    caps: dict[str, Optional[tuple[str, str]]] = {}  # validation makes the uses agree
     for s, op in model.operations:
         ptypes = tuple(arg_type(s, a.value) for a in op.args)
         seen = params.get(op.name, ptypes)
         params[op.name] = tuple(t if t is u else ValueType.OPAQUE for t, u in zip(seen, ptypes))
-        uses.setdefault(op.name, op)
-    sigs = {}
-    for name in sorted(params):
-        op = uses[name]
-        body = BodyKind.FROM_CAPABILITY if builtin_cap(op.capability) else BodyKind.EMPTY_HOOK
-        sigs[name] = OpSignature(name, params[name], return_type(name), op.capability, body)
-    return sigs
+        caps.setdefault(op.name, op.capability)
+    return {name: OpSignature(name, params[name], return_type(name), caps[name]) for name in sorted(params)}
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +222,8 @@ def _ops_stub(model: AppModel) -> GeneratedUnit:
         lines.append(f"fun {name}({params}) -> {sig.return_type.value}")
         if sig.capability is not None:
             lines.append(f"  uses {sig.capability[0]}.{sig.capability[1]}")
-        if sig.body is BodyKind.FROM_CAPABILITY:
-            cap = builtin_cap(sig.capability)
+        cap = builtin_cap(sig.capability)
+        if cap is not None:
             if "https" in cap.tags or "ssl-socket" in cap.tags:
                 lines.append("  # TLS channel with certificate pinning against the bundled pin set")
             if "cipher" in cap.tags:

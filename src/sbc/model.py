@@ -252,12 +252,6 @@ class Screen:
         """The transitions sorted by order index, the order they are tried in."""
         return tuple(sorted(self.transitions, key=lambda t: t.order))
 
-    def widget(self, wid: str) -> Optional[Widget]:
-        for w in self.widgets:
-            if w.id == wid:
-                return w
-        return None
-
 
 @dataclass(frozen=True)
 class ProxyScreen:

@@ -4,20 +4,21 @@ import pytest
 from conftest import ILL_FORMED, load_fixture, parse_text
 
 from sbc import codegen
-from sbc.codegen import BodyKind, ValueType
+from sbc.codegen import ValueType
 
 
 class TestSignatures:
     def test_save_phone_boolean_generated(self, messenger):
         sig = codegen.infer_signatures(messenger)["savePhone"]
         assert sig.return_type is ValueType.BOOLEAN
-        assert sig.body is BodyKind.FROM_CAPABILITY
         assert sig.param_types == (ValueType.TEXT,)  # widget-text argument
+        assert "fun savePhone(text) -> boolean\n  uses INT_STORE.write\n  # body generated from INT_STORE.write\n" in (
+            codegen._ops_stub(messenger).contents)
 
     def test_disp_msg_text(self, messenger):
         sig = codegen.infer_signatures(messenger)["dispMsg"]
         assert sig.return_type is ValueType.TEXT  # feeds the Status TextView
-        assert sig.body is BodyKind.EMPTY_HOOK
+        assert f"fun dispMsg(opaque) -> text\n{codegen.HOOK} dispMsg\n" in codegen._ops_stub(messenger).contents
 
     def test_unused_evidence_opaque(self):
         m = parse_text(
