@@ -43,15 +43,19 @@ def _sort_key(d: Diagnostic):
     return (d.span.file, d.span.line, d.code)
 
 
-class _JsonNames(dict):
-    """Node -> its name as a JSON string, encoded on first use."""
+class _Names(dict):
+    """Name -> its text, formatted on first use; one per run."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
 
     def __missing__(self, q):
-        self[q] = text = _json_str(str(q))
+        self[q] = text = self.fmt(q)
         return text
 
 
-def _machine_line(d: Diagnostic, names: _JsonNames) -> str:
+def _machine_line(d: Diagnostic, names: _Names) -> str:
     """The finding as `json.dumps` writes its record, byte for byte."""
     span = d.span
     if span is None:
@@ -69,7 +73,7 @@ def emit_diagnostics(findings: list[Diagnostic], fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     ordered = sorted(findings, key=_sort_key)
     if fmt == "machine":
-        names = _JsonNames()
+        names = _Names(lambda q: _json_str(str(q)))
         lines = [_machine_line(d, names) for d in ordered]
     elif _use_color(stream):
         lines = [_COLORS[d.severity] + d.format_human() + "\x1b[0m" for d in ordered]
@@ -149,8 +153,8 @@ def _cmd_analyze(args) -> int:
     return _per_file(args, one)
 
 
-def _store_text(values: dict) -> str:
-    return ", ".join(f"{k}={v.payload!r}" for k, v in sorted(values.items()))
+def _store_text(values: dict, names: _Names) -> str:
+    return ", ".join(names[k] + repr(v.payload) for k, v in sorted(values.items()))
 
 
 def _cmd_simulate(args) -> int:
@@ -171,9 +175,10 @@ def _cmd_simulate(args) -> int:
         if model is None or any(d.code.startswith("WF") for d in findings):
             return code
         trace = interp.run(model, scenario, step_budget=args.budget or len(scenario.gestures) + 3)
-        lines = [f"{rule}: <terminal>" if c.terminal else f"{rule}: {c.current} [{_store_text(c.sigma)}]"
+        names = _Names(lambda q: f"{q}=")
+        lines = [f"{rule}: <terminal>" if c.terminal else f"{rule}: {c.current} [{_store_text(c.sigma, names)}]"
                  for rule, c in trace.steps]
-        lines += [f"proxy-exit {ev[1]} [{_store_text(ev[2])}]" for ev in trace.events if ev[0] == "proxy-exit"]
+        lines += [f"proxy-exit {ev[1]} [{_store_text(ev[2], names)}]" for ev in trace.events if ev[0] == "proxy-exit"]
         if lines:
             lines.append("")  # the last line's newline
             sys.stdout.write("\n".join(lines))
