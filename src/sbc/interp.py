@@ -40,7 +40,6 @@ from .model import (
     AppModel,
     BAnd,
     BConst,
-    BNot,
     BOp,
     BOr,
     BoolExpr,
@@ -241,7 +240,7 @@ def eval_bool(model: AppModel, screen: Screen, expr: BoolExpr, sigma: dict, stat
         return eval_bool(model, screen, expr.left, sigma, state) and eval_bool(model, screen, expr.right, sigma, state)
     if isinstance(expr, BOr):
         return eval_bool(model, screen, expr.left, sigma, state) or eval_bool(model, screen, expr.right, sigma, state)
-    return not eval_bool(model, screen, expr.inner, sigma, state)
+    return not eval_bool(model, screen, expr.inner, sigma, state)  # BNot
 
 
 # ---------------------------------------------------------------------------
