@@ -12,9 +12,8 @@ block).  Output is byte-identical across invocations for the same model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import rules
 from .model import (
@@ -43,22 +42,19 @@ class ValueType(Enum):
     OPAQUE = "opaque"
 
 
-@dataclass(frozen=True)
-class OpSignature:
+class OpSignature(NamedTuple):
     name: str
     param_types: tuple[ValueType, ...]
     return_type: ValueType
     capability: Optional[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class GeneratedUnit:
+class GeneratedUnit(NamedTuple):
     path: str
     contents: str
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     app_id: str
     resources: tuple[tuple[str, Access], ...]
     dependencies: tuple[str, ...]  # builtin resources in use

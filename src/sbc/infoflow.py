@@ -31,9 +31,8 @@ satisfiable, so only data positions induce flows.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     OPERATION,
@@ -53,16 +52,14 @@ from .model import (
 Edge = tuple[QualifiedId, QualifiedId]
 
 
-@dataclass(frozen=True)
-class ClosureRelation:
+class ClosureRelation(NamedTuple):
     pairs: frozenset[Edge]
 
     def __contains__(self, pair: Edge) -> bool:
         return pair in self.pairs
 
 
-@dataclass(frozen=True)
-class TrustMap:
+class TrustMap(NamedTuple):
     untrusted_sources: frozenset[QualifiedId]
     untrusted_sinks: frozenset[QualifiedId]
     untrusted_reachable: frozenset[QualifiedId]
@@ -79,8 +76,7 @@ class Role(Enum):
     PROXY_PARAM = "proxy-param"
 
 
-@dataclass(frozen=True)
-class InfluenceGraph:
+class InfluenceGraph(NamedTuple):
     roles: dict[QualifiedId, Role]  # every node, with its role
     edge_origin: dict[Edge, Optional[SourceSpan]]  # every edge, with the span of its first position
 

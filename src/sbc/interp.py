@@ -31,7 +31,6 @@ app after the preceding gestures have been processed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .infoflow import _op_source_untrusted
@@ -77,8 +76,7 @@ class Configuration(NamedTuple):
 TERMINAL = Configuration(None, {})
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     launch_uri: Optional[str] = None
     launch_args: tuple[tuple[str, str], ...] = ()
     gestures: tuple[tuple[str, Gesture], ...] = ()
@@ -181,11 +179,11 @@ class ScenarioState:
         return ordinal, results[ordinal - 1] if ordinal <= len(results) else None
 
 
-@dataclass
 class Trace:
-    steps: list[tuple[str, Configuration]]
-    events: list[tuple] = field(default_factory=list)
-    error: Optional[str] = None
+    def __init__(self):
+        self.steps: list[tuple[str, Configuration]] = []  # (rule, configuration)
+        self.events: list[tuple] = []
+        self.error: Optional[str] = None  # what ended the run, if anything did
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
     if step_budget < 1:
         raise ValueError("step budget must be at least 1")
     state = ScenarioState(scenario)
-    trace = Trace([])
+    trace = Trace()
     try:
         config = init_app(model, scenario)
         trace.steps.append(("init", config))

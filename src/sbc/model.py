@@ -1,16 +1,17 @@
 """Storyboard domain model: typed AST, builtin resource catalog, well-formedness.
 
-All types here are immutable after construction and safe to share between
-threads.  Validation is pure: the same model always yields the same diagnostic
-list, in the same order.
+The types here are `typing.NamedTuple` records, immutable because tuples are,
+and so safe to share between threads; `record` makes each a value type.
+Validation is pure: the same model always yields the same diagnostic list, in
+the same order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
 # Distinguished owner for operation names: operations are globally scoped,
@@ -18,8 +19,20 @@ from typing import NamedTuple, Optional, Union
 OPERATION = "<op>"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+def record(cls):
+    """Make a NamedTuple class a value type: a record equals only a record of
+    its own type, and its `span`, if it has one, takes no part in == or hash.
+    Set after the class is built, so that a class without a span keeps
+    `tuple.__hash__`."""
+    key = itemgetter(*(i for i, f in enumerate(cls._fields) if f != "span"))
+    if "span" in cls._fields:
+        cls.__hash__ = lambda a: hash(key(a))
+    cls.__eq__ = lambda a, b: type(a) is type(b) and key(a) == key(b)
+    cls.__ne__ = lambda a, b: not a == b  # tuple.__ne__ would compare across types
+    return cls
+
+@record
+class SourceSpan(NamedTuple):
     file: str
     line: int  # 1-based
     column: int  # 1-based
@@ -54,12 +67,12 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@record
+class Diagnostic(NamedTuple):
     severity: Severity
     code: str
     message: str
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
     witness: tuple[QualifiedId, ...] = ()
 
     def format_human(self) -> str:
@@ -75,13 +88,13 @@ class Diagnostic:
 # Value bindings
 
 
-@dataclass(frozen=True)
-class Literal:
+@record
+class Literal(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Ref:
+@record
+class Ref(NamedTuple):
     """A name that a value uses.  Widgets and parameters share a screen's
     namespace, so a name is a parameter of the screen that uses it if it is
     in `screen.all_params`, and otherwise a widget of that screen (validate
@@ -98,19 +111,19 @@ def _attr(node, name: str):
     return None
 
 
-@dataclass(frozen=True)
-class Arg:
+@record
+class Arg(NamedTuple):
     safe: bool
     value: "ValueBinding"
 
 
-@dataclass(frozen=True)
-class OperationUse:
+@record
+class OperationUse(NamedTuple):
     name: str
     capability: Optional[tuple[str, str]]  # (resource, capability)
     args: tuple[Arg, ...] = ()
     attributes: tuple[tuple[str, object], ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
     attr = _attr
 
@@ -122,30 +135,30 @@ ValueBinding = Union[Literal, Ref, OperationUse]
 # Boolean expressions
 
 
-@dataclass(frozen=True)
-class BConst:
+@record
+class BConst(NamedTuple):
     value: bool
 
 
-@dataclass(frozen=True)
-class BOp:
+@record
+class BOp(NamedTuple):
     op: OperationUse
 
 
-@dataclass(frozen=True)
-class BAnd:
+@record
+class BAnd(NamedTuple):
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class BOr:
+@record
+class BOr(NamedTuple):
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class BNot:
+@record
+class BNot(NamedTuple):
     inner: "BoolExpr"
 
 
@@ -175,8 +188,8 @@ class Access(Enum):
     OWN = "own"
 
 
-@dataclass(frozen=True)
-class Uri:
+@record
+class Uri(NamedTuple):
     base: str
     params: tuple[str, ...] = ()
 
@@ -197,46 +210,48 @@ def parse_uri(text: str) -> Uri:
     return Uri(base, params)
 
 
-@dataclass(frozen=True)
-class Widget:
+@record
+class Widget(NamedTuple):
     kind: WidgetKind
     id: str
     value: ValueBinding
     safe: bool = False
     attributes: tuple[tuple[str, object], ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
     attr = _attr
 
 
-@dataclass(frozen=True)
-class ParamBinding:
+@record
+class ParamBinding(NamedTuple):
     target: str
     safe: bool
     value: ValueBinding
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class Transition:
+@record
+class Transition(NamedTuple):
     id: str
     order: int
     dest: str
     user_action: Optional[tuple[str, Gesture]] = None
     guard: Optional[BoolExpr] = None
     bindings: tuple[ParamBinding, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class Screen:
+class _Screen(NamedTuple):
     name: str
     uris: tuple[Uri, ...] = ()
     params: tuple[str, ...] = ()  # declared `param` names
     widgets: tuple[Widget, ...] = ()
     transitions: tuple[Transition, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
+
+@record
+class Screen(_Screen):  # a subclass has a __dict__, which cached_property needs
     @property
     def uri_params(self) -> tuple[str, ...]:
         return self.uris[0].params if self.uris else ()
@@ -253,38 +268,40 @@ class Screen:
         return tuple(sorted(self.transitions, key=lambda t: t.order))
 
 
-@dataclass(frozen=True)
-class ProxyScreen:
+@record
+class ProxyScreen(NamedTuple):
     name: str
     uri: Uri
     app_id: Optional[str] = None
     safe: bool = False
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class Capability:
+@record
+class Capability(NamedTuple):
     name: str
     priv: bool = False
 
 
-@dataclass(frozen=True)
-class Resource:
+@record
+class Resource(NamedTuple):
     name: str
     access: Access
     capabilities: tuple[Capability, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class AppModel:
+class _AppModel(NamedTuple):
     app_id: str
     screens: tuple[Screen, ...] = ()
     proxies: tuple[ProxyScreen, ...] = ()
     resources: tuple[Resource, ...] = ()
     start: Optional[str] = None  # explicit `start` marker, if any
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
+
+@record
+class AppModel(_AppModel):  # a subclass, for its cached properties' __dict__
     @cached_property
     def _by_name(self) -> tuple[dict, dict, dict]:
         # screens, proxies and resources by name; the first declaration wins
@@ -316,8 +333,8 @@ class Trust(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class BuiltinCap:
+@record
+class BuiltinCap(NamedTuple):
     resource: str
     capability: str
     source_trust: Trust

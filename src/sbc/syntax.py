@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     Access,
@@ -91,8 +90,7 @@ class ParseError(Exception):
         self.diag = diag
 
 
-@dataclass
-class ParseOutcome:
+class ParseOutcome(NamedTuple):
     model: Optional[AppModel]
     diagnostics: list[Diagnostic]
 

@@ -1,14 +1,24 @@
-"""Domain model: qualification, catalog, well-formedness."""
+"""Domain model: records, qualification, catalog, well-formedness."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import load_fixture, parse_text
 
-from sbc import syntax
+from sbc import model, syntax
 from sbc.model import (
     BUILTIN_CATALOG,
     OPERATION,
+    BAnd,
+    BConst,
+    BOr,
     Literal,
+    QualifiedId,
     Ref,
+    SourceSpan,
     Severity,
     Trust,
     boolean_position_ops,
@@ -21,6 +31,50 @@ from sbc.model import (
 
 def codes(diags):
     return sorted(d.code for d in diags)
+
+
+# the model's records; QualifiedId is a plain tuple on purpose (edges are pairs of them)
+RECORDS = sorted((c for c in vars(model).values() if isinstance(c, type) and issubclass(c, tuple)
+                  and c is not QualifiedId and not c.__name__.startswith("_")), key=lambda c: c.__name__)
+
+
+def make(cls, **fields):
+    """A record of cls with placeholder fields, except those given."""
+    return cls._make(fields.get(f, f"<{f}>") for f in cls._fields)
+
+
+class TestRecords:
+    def test_every_model_type_is_a_record(self):
+        assert len(RECORDS) == 21
+
+    def test_a_record_equals_only_a_record_of_its_own_type(self):
+        a, b = BConst(True), BConst(False)
+        assert Literal("x") != Ref("x") and not Literal("x") == Ref("x")
+        assert BAnd(a, b) != BOr(a, b) and not BAnd(a, b) == BOr(a, b)
+        assert Literal("x") != ("x",) and ("x",) != Literal("x")
+        assert Literal("x") == Literal("x") and hash(Literal("x")) == hash(Literal("x"))
+
+    @pytest.mark.parametrize("cls", [c for c in RECORDS if "span" in c._fields], ids=lambda c: c.__name__)
+    def test_span_takes_no_part_in_equality_or_hash(self, cls):
+        a = make(cls, span=SourceSpan("a.sbd", 1, 1))
+        b = make(cls, span=SourceSpan("b.sbd", 2, 3, 4))
+        assert a == b and not a != b and hash(a) == hash(b)
+        other = make(cls, **{cls._fields[0]: "other"}, span=a.span)
+        assert a != other and not a == other
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_fields_are_read_only(self, cls):
+        r = make(cls)
+        for f in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, f, "changed")
+
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        src = Path(__file__).parent.parent / "src"
+        out = subprocess.run([sys.executable, "-S", "-c", "import sys, sbc.cli; print(*sys.modules)"],
+                             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True)
+        loaded = out.stdout.split()
+        assert "sbc.cli" in loaded and "dataclasses" not in loaded
 
 
 class TestQualify:
