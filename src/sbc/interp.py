@@ -170,6 +170,7 @@ class ScenarioState:
             self.results_by_name.setdefault(name, []).append(res)
         self.steps_taken = 0
         self.uri_env = dict(scenario.uri_env)
+        self.plans: dict[str, tuple] = {}  # screen name -> its `_plan`
 
     def next_result(self, name: str) -> tuple[int, Optional[Union[str, bool]]]:
         """Next scripted result for an operation, with its 1-based ordinal."""
@@ -261,6 +262,18 @@ def init_app(model: AppModel, scenario: Scenario) -> Configuration:
     raise ScenarioError(f"no screen exports URI '{scenario.launch_uri}'")
 
 
+def _plan(model: AppModel, screen: Screen) -> tuple:
+    """What `step` reads of a screen, built once per screen and run: the screen,
+    each widget's value with its holder, and each transition in the order they
+    are tried, as its action, guard, destination, whether that is a proxy, and
+    each binding's value with its target."""
+    widgets = tuple((w.value, QualifiedId(w.id, screen.name)) for w in screen.widgets)
+    transitions = tuple((t.user_action, t.guard, t.dest, model.proxy(t.dest) is not None,
+                         tuple((b.value, QualifiedId(b.target, t.dest)) for b in t.bindings))
+                        for t in screen.ordered_transitions)
+    return screen, widgets, transitions
+
+
 def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[Configuration, str, list[tuple]]:
     """One small step.  Returns (configuration, rule name, events)."""
     if config.terminal:
@@ -270,46 +283,47 @@ def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[
     if scenario.stop_after is not None and n >= scenario.stop_after:
         return TERMINAL, "stop", []
 
-    screen = model.screen(config.current)
-    name = screen.name
+    name = config.current
+    plan = state.plans.get(name)
+    if plan is None:
+        plan = state.plans[name] = _plan(model, model.screen(name))
+    screen, widgets, transitions = plan
     sigma = dict(config.sigma)
 
     # widget extension: (re)bind every widget of the current screen, in order
-    for w in screen.widgets:
-        v = resolve_value(model, screen, w.value, sigma, state)
+    for value, holder in widgets:
+        v = resolve_value(model, screen, value, sigma, state)
         if v is not None:
-            holder = QualifiedId(w.id, name)
             sigma[holder] = Value(v.payload, v.taint | {holder})
 
     gestures = scenario.gestures
     gesture = gestures[n - 1] if n <= len(gestures) else None
-    for t in screen.ordered_transitions:  # the first whose action occurred and whose guard holds fires
-        if t.user_action in (None, gesture) and (t.guard is None or eval_bool(model, screen, t.guard, sigma, state)):
+    for action, guard, dest, to_proxy, bindings in transitions:  # the first whose action occurred and guard holds fires
+        if action in (None, gesture) and (guard is None or eval_bool(model, screen, guard, sigma, state)):
             break
     else:
         return Configuration(name, sigma), "no-transition", []
 
     # compute destination bindings against the pre-transition store
     bound: dict[QualifiedId, Value] = {}
-    for b in t.bindings:
-        v = resolve_value(model, screen, b.value, sigma, state)
+    for value, target in bindings:
+        v = resolve_value(model, screen, value, sigma, state)
         if v is not None:
-            target = QualifiedId(b.target, t.dest)
             bound[target] = Value(v.payload, v.taint | {target})
 
-    if model.proxy(t.dest) is not None:
+    if to_proxy:
         # leaving the app: hand the outbound values to the external screen
-        event = ("proxy-exit", t.dest, {str(q): v for q, v in bound.items()})
+        event = ("proxy-exit", dest, {str(q): v for q, v in bound.items()})
         return TERMINAL, "proxy-exit", [event]
 
-    if t.dest == name:
+    if dest == name:
         # self-transition: parameters survive, widget entries are cleared
-        for w in screen.widgets:
-            sigma.pop(QualifiedId(w.id, name), None)
+        for _, holder in widgets:
+            sigma.pop(holder, None)
         sigma.update(bound)
         return Configuration(name, sigma), "self-transition", []
 
-    return Configuration(t.dest, bound), "transition", []
+    return Configuration(dest, bound), "transition", []
 
 
 def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
