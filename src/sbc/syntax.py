@@ -171,8 +171,8 @@ MAX_EXPRESSION_NODES = 100
 
 # The end of the input and the words that start a storyboard item, which no
 # block item starts with and no name or value is: at the start of an item they
-# end every open block whose '}' is missing, and recovery stops at them at any
-# depth.
+# end every open block whose '}' is missing, and recovery stops at any depth
+# where one starts an item (`starts_item`).
 _ENDS = frozenset({"", "screen", "start", "proxy", "resource"})
 # the words that start a block item, where recovery inside a block also stops
 _RESUME = frozenset({"transition", "param", *KINDS})
@@ -254,15 +254,21 @@ class _Parser:
         if self.nodes > MAX_EXPRESSION_NODES:
             raise self.fail(f"expected at most {MAX_EXPRESSION_NODES} operators and calls in one expression", "PAR004")
 
+    def starts_item(self, i: int) -> bool:
+        # the end, or an item word that the token its item needs next follows
+        t, after = self.toks[i], self.toks[i + 1]
+        fits = after == "screen" if t == "start" else after[:1] in _IDENT_START and after not in _ENDS
+        return not t or t in _ENDS and fits
+
     def recover(self, error: ParseError, start: int, in_block: bool = True):
-        # Record the error and skip to the next item: a token of _ENDS, even the
-        # one the error names, and in a block the next _RESUME word after it or
-        # the '}' that closes the innermost open block.  A block that the failed
-        # item (from start) opened, such as a pattern set, is skipped whole.
+        # Record the error and skip to the next item: a storyboard item or the
+        # end, even at the token the error names, and in a block the next
+        # _RESUME word after it or the '}' that closes the innermost open block.
+        # A block that the failed item (from start) opened is skipped whole.
         self.diags.append(error.diag)
         toks, i = self.toks, self.pos
         depth = sum((t == "{") - (t == "}") for t in toks[start:i])
-        while toks[i] not in _ENDS and not (
+        while not self.starts_item(i) and not (
                 in_block and depth == 0 and (toks[i] == "}" or i > self.pos and toks[i] in _RESUME)):
             depth = max(depth + (toks[i] == "{") - (toks[i] == "}"), 0)
             i += 1

@@ -338,6 +338,19 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(p))
         assert (code, out, err) == (2, f"error PAR002 {p}:{expected}\n", "")
 
+    @pytest.mark.parametrize("text, expected", [
+        ('app "a"\nscreen S {\n  TextView T = proxy\n}\n', "3:16 expected a value, found 'proxy'"),
+        ('app "a"\nscreen S {\n  TextView T = start\n}\nstart screen R { }\n', "3:16 expected a value, found 'start'"),
+        ('app "a"\nscreen S {\n  transition t order 1 dest screen {\n  }\n}\n',
+         "3:29 expected destination name, found 'screen'"),
+    ], ids=["proxy", "start", "screen"])
+    def test_an_item_word_inside_an_item_is_one_error(self, capsys, tmp_path, text, expected):
+        # recovery starts a new item at an item word only if the next token fits the item
+        p = tmp_path / "x.sbd"
+        p.write_text(text)
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out, err) == (2, f"error PAR002 {p}:{expected}\n", "")
+
     @pytest.mark.parametrize("tail, diags", [
         (" " * 100_000, []),
         (" \t\r" * 33_334, []),
