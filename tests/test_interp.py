@@ -1,7 +1,7 @@
 """Scenario parsing and the small-step interpreter."""
 
 import pytest
-from conftest import FIXTURES, load_fixture, parse_text, taint_pairs
+from conftest import FIXTURES, parse_text, taint_pairs
 
 from modelgen import gen_model, gen_scenario
 from sbc import infoflow, interp

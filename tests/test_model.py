@@ -6,9 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import load_fixture, parse_text
+from conftest import parse_text
 
-from sbc import model, syntax
+from sbc import model
 from sbc.model import (
     BUILTIN_CATALOG,
     OPERATION,

@@ -12,7 +12,7 @@ from modelgen import gen_model
 
 from sbc import codegen, syntax
 from sbc.codegen import ValueType
-from sbc.model import Gesture, Literal, OperationUse, Ref, WidgetKind
+from sbc.model import Gesture, Literal, OperationUse, Ref
 
 ALL_FIXTURES = sorted(glob.glob(str(FIXTURES / "**" / "*.sbd"), recursive=True))
 

@@ -1,11 +1,13 @@
 """Nothing in the package exists only for tests: every top-level function and
-class of `src/sbc` is used by the package itself or by the benchmark."""
+class of `src/sbc` is used by the package itself or by the benchmark.  And
+every name that a module of `tests/` imports is used in it."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "sbc"
+TESTS = ROOT / "tests"
 ENTRY_POINTS = {("cli", "main")}  # pyproject's console script
 
 
@@ -31,3 +33,15 @@ def test_every_definition_has_a_user_outside_tests():
                 definitions.append((path.stem, stmt.name))
             used |= _names(stmt) - {getattr(stmt, "name", None)}  # a recursive call is no use
     assert [f"{m}.{name}" for m, name in definitions if name not in used and (m, name) not in ENTRY_POINTS] == []
+
+
+def test_every_name_a_test_module_imports_is_used():
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [f"{path.name}:{node.lineno} {a.asname or a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in names]
+    assert unused == []
