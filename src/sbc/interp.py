@@ -160,7 +160,8 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
 
 
 class ScenarioState:
-    """Consumption cursors over an immutable Scenario; `steps_taken` is the gesture cursor too."""
+    """Consumption cursors over an immutable Scenario, `steps_taken` being the
+    gesture cursor too, and the `_plan` of each screen the run has visited."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -263,10 +264,9 @@ def init_app(model: AppModel, scenario: Scenario) -> Configuration:
 
 
 def _plan(model: AppModel, screen: Screen) -> tuple:
-    """What `step` reads of a screen, built once per screen and run: the screen,
-    each widget's value with its holder, and each transition in the order they
-    are tried, as its action, guard, destination, whether that is a proxy, and
-    each binding's value with its target."""
+    """What `step` reads of a screen: the screen, each widget's value and holder,
+    and per transition, in the order tried, its action, guard, destination,
+    whether that is a proxy, and each binding's value and target."""
     widgets = tuple((w.value, QualifiedId(w.id, screen.name)) for w in screen.widgets)
     transitions = tuple((t.user_action, t.guard, t.dest, model.proxy(t.dest) is not None,
                          tuple((b.value, QualifiedId(b.target, t.dest)) for b in t.bindings))

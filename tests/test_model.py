@@ -44,8 +44,8 @@ def make(cls, **fields):
 
 
 class TestRecords:
-    def test_every_model_type_is_a_record(self):
-        assert len(RECORDS) == 21
+    def test_every_model_record_is_a_value_type(self):
+        assert RECORDS and [c for c in RECORDS if c.__ne__ is tuple.__ne__] == []
 
     def test_a_record_equals_only_a_record_of_its_own_type(self):
         a, b = BConst(True), BConst(False)
