@@ -20,10 +20,9 @@ OPERATION = "<op>"
 
 
 def record(cls):
-    """Make a NamedTuple class a value type: a record equals only a record of
-    its own type, and its `span`, if it has one, takes no part in == or hash.
-    Set after the class is built, so that a class without a span keeps
-    `tuple.__hash__`."""
+    """Make a NamedTuple class a value type: a record equals only a record of its
+    own type, and its `span`, if any, takes no part in == or hash.  Set after the
+    class is built, so that a class without a span keeps `tuple.__hash__`."""
     key = itemgetter(*(i for i, f in enumerate(cls._fields) if f != "span"))
     if "span" in cls._fields:
         cls.__hash__ = lambda a: hash(key(a))

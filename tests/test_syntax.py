@@ -23,6 +23,18 @@ class TestParse:
         assert out.ok
         assert [s.name for s in out.model.screens] == ["Messenger", "Contacts", "MsgStatus", "SaveStatus"]
 
+    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: Path(p).stem)
+    def test_every_record_has_all_its_fields(self, path):
+        # the parser builds records with tuple.__new__, which checks no field count
+        def short(node):
+            if isinstance(node, tuple):
+                if hasattr(node, "_fields") and len(node) != len(node._fields):
+                    yield node
+                for child in node:
+                    yield from short(child)
+
+        assert list(short(syntax.parse(Path(path).read_text(), path).model)) == []
+
     def test_empty_screen(self):
         m = parse_text('app "a" screen S { }')
         assert m.start == "S"
