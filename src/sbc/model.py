@@ -30,6 +30,7 @@ def record(cls):
     cls.__ne__ = lambda a, b: not a == b  # tuple.__ne__ would compare across types
     return cls
 
+
 @record
 class SourceSpan(NamedTuple):
     file: str
