@@ -21,6 +21,10 @@ models run `check`, mutants `analyze --format machine`, scenario mutants
 `simulate fixtures/messenger.sbd --scenario`, and reordered models `check` and
 `analyze`, both in machine format, and `generate`, whose operation signatures
 type an argument by whether its name is a parameter of the screen.
+Last come the hand-written inputs of tests/gate, which reach the branches
+that the rest of the corpus misses; each runs the full set of commands, and
+`simulate` with every scenario of tests/gate whose name starts with its own
+name and `_`.
 
 golden.json holds, per input, a digest of the input itself (so that drift in
 a generator shows as a corpus change, not an output change) and one digest
@@ -55,6 +59,7 @@ GOLDEN = HERE / "golden.json"
 # /dev/shm, so the scratch directory goes on /dev/shm when it is writable.
 SHM = "/dev/shm"
 FIXTURES = HERE / "fixtures"
+GATE = HERE / "gate"
 for _p in (ROOT / "src", HERE, ROOT / "perfbench"):
     if str(_p) not in sys.path:
         sys.path.append(str(_p))
@@ -199,6 +204,11 @@ def corpus() -> list[tuple[str, str, tuple[str, ...], dict[str, str]]]:
     for i in range(REORDERED):
         text = reorder(rng, rng.choice(models if i % 2 else formatted), i % 4 == 1)
         out.append((f"reordered/{i:04d}.sbd", text, REORDERED_COMMANDS, {}))
+    gate_scenarios = sorted(GATE.glob("*.scn"))
+    for p in sorted(GATE.glob("*.sbd")):
+        out.append((f"gate/{p.name}", p.read_text(encoding="utf-8"), FULL,
+                    {f"simulate gate/{q.name}": q.read_text(encoding="utf-8")
+                     for q in gate_scenarios if q.name.startswith(p.stem + "_")}))
     return out
 
 
