@@ -26,7 +26,6 @@ from .model import (
     Screen,
     Severity,
     WidgetKind,
-    boolean_position_ops,
     builtin_cap,
 )
 from .syntax import _fmt_bool, _fmt_value, _quote
@@ -88,7 +87,7 @@ class GenerationBlocked(Exception):
 
 
 def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
-    bool_ops = boolean_position_ops(model)
+    bool_ops = {v.name for _, t, holder, _, v in model.positions if holder is t}  # guard terms
 
     # first pass: which ops and (screen, param) pairs a text-displaying widget
     # shows, then which ops are bound to a displayed param
@@ -192,7 +191,7 @@ def generate_screen_unit(model: AppModel, screen: Screen) -> GeneratedUnit:
     return GeneratedUnit(f"screens/{screen.name}.ctrl", "\n".join(lines) + "\n")
 
 
-def generate_resource_unit(model: AppModel, resource: Resource) -> GeneratedUnit:
+def generate_resource_unit(resource: Resource) -> GeneratedUnit:
     lines = [f"endpoint {resource.name} access={resource.access.value}"]
     if resource.access is Access.OWN:
         lines.append("# callers must share this app's signing identity")
@@ -257,7 +256,7 @@ def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], list[Diagnostic]
     for s in model.screens:
         units.append(generate_screen_unit(model, s))
     for r in model.resources:
-        units.append(generate_resource_unit(model, r))
+        units.append(generate_resource_unit(r))
     units.append(_ops_stub(model))
     return units, findings
 

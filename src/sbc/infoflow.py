@@ -3,8 +3,9 @@
 The analysis runs in five steps:
 
 1. `build_influences`: the direct influence edges between qualified
-   identifiers, each with the span of the position that induces it, and the
-   role of every node;
+   identifiers, each with the span of the position that induces it, the
+   role of every node, and each node's successors and predecessors, which
+   every later step reads;
 2. `closure`: reflexive-transitive reachability, which only tests build;
 3. `classify_endpoints`: the untrusted sources and sinks, against the
    builtin catalog, and what the sources reach by graph search;
@@ -46,7 +47,6 @@ from .model import (
     Trust,
     builtin_cap,
     qualify,
-    sites,
 )
 
 Edge = tuple[QualifiedId, QualifiedId]
@@ -79,6 +79,10 @@ class Role(Enum):
 class InfluenceGraph(NamedTuple):
     roles: dict[QualifiedId, Role]  # every node, with its role
     edge_origin: dict[Edge, Optional[SourceSpan]]  # every edge, with the span of its first position
+    # Each node's successors and predecessors, in the order of their edges;
+    # a search may index any node, so a key does not mean the node has edges.
+    succ: defaultdict[QualifiedId, list[QualifiedId]]
+    pred: defaultdict[QualifiedId, list[QualifiedId]]
 
     @property
     def nodes(self):
@@ -125,27 +129,22 @@ def build_influences(model: AppModel) -> InfluenceGraph:
     for _, op in model.operations:
         roles[qualify(op.name, OPERATION)] = Role.OP
 
-    origin: dict[Edge, Optional[SourceSpan]] = {}
-    for s, t, holder, _, v in sites(model):
+    graph = InfluenceGraph(roles, {}, defaultdict(list), defaultdict(list))
+    for s, t, holder, _, v in model.positions:
         if holder is t:
             continue
         src = _value_node(v, s.name)
         if src is not None:  # literals induce no flow
             dst, span = _flow(s, t, holder)
-            origin.setdefault((src, dst), span)
-    return InfluenceGraph(roles, origin)
+            if (src, dst) not in graph.edge_origin:
+                graph.edge_origin[src, dst] = span
+                graph.succ[src].append(dst)
+                graph.pred[dst].append(src)
+    return graph
 
 
 # ---------------------------------------------------------------------------
 # Step 2: reachability by search (the test oracle recomputes it independently)
-
-
-def _adjacency(edges) -> defaultdict[QualifiedId, list[QualifiedId]]:
-    """Successor lists over `edges`, in no particular order."""
-    succ: defaultdict[QualifiedId, list[QualifiedId]] = defaultdict(list)
-    for a, b in edges:
-        succ[a].append(b)
-    return succ
 
 
 def _reach(starts, succ) -> set:
@@ -161,9 +160,8 @@ def _reach(starts, succ) -> set:
 
 
 def closure(graph: InfluenceGraph) -> ClosureRelation:
-    succ = _adjacency(graph.edges)
     nodes = set(graph.nodes).union(*graph.edges)
-    return ClosureRelation(frozenset((a, b) for a in nodes for b in _reach((a,), succ)))
+    return ClosureRelation(frozenset((a, b) for a in nodes for b in _reach((a,), graph.succ)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
             for pn in p.uri.params:
                 sinks.add(qualify(pn, p.name))
 
-    reachable = _reach(sources, _adjacency(graph.edges))
+    reachable = _reach(sources, graph.succ)
     return TrustMap(frozenset(sources), frozenset(sinks), frozenset(reachable))
 
 
@@ -214,17 +212,12 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
 def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge], list[Diagnostic]]:
     safe: set[Edge] = set()
     warnings: list[Diagnostic] = []
-    out_edges: dict[QualifiedId, list[Edge]] = {}
-    in_edges: dict[QualifiedId, list[Edge]] = {}
-    for e in graph.edges:
-        out_edges.setdefault(e[0], []).append(e)
-        in_edges.setdefault(e[1], []).append(e)
 
     def unused(what: str, span):
         return Diagnostic(Severity.WARNING, "IF003", f"safe mark on {what} declassifies no flow", span)
 
     own: list[Diagnostic] = []  # a widget's or binding's own warning follows its arguments'
-    for s, t, holder, is_safe, v in sites(model):
+    for s, t, holder, is_safe, v in model.positions:
         if own and not isinstance(holder, OperationUse):
             warnings += own
             own = []
@@ -234,14 +227,11 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
         src = _value_node(v, s.name)
         dst, span = _flow(s, t, holder)
         if t is None and not in_op:  # a safe widget declassifies its input and its uses
-            touched = False
-            if src is not None and (src, dst) in graph.edges:
+            uses = graph.succ.get(dst, ())
+            safe.update((dst, m) for m in uses)
+            if src is not None:  # build_influences added this edge
                 safe.add((src, dst))
-                touched = True
-            for e in out_edges.get(dst, ()):
-                safe.add(e)
-                touched = True
-            if not touched:
+            elif not uses:
                 own.append(unused(f"widget '{holder.id}'", span))
         elif src is not None:
             safe.add((src, dst))
@@ -255,8 +245,9 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
         if p.safe or p.app_id is not None:
             touched = False
             for pn in p.uri.params:
-                for e in in_edges.get(qualify(pn, p.name), ()):
-                    safe.add(e)
+                q = qualify(pn, p.name)
+                for m in graph.pred.get(q, ()):
+                    safe.add((m, q))
                     touched = True
             if p.safe and not touched:
                 warnings.append(unused(f"proxy '{p.name}'", p.span))

@@ -53,6 +53,7 @@ from .model import (
     parse_uri,
     start_screen,
 )
+from .syntax import GESTURES, _unescape
 
 
 class ScenarioError(Exception):
@@ -85,17 +86,12 @@ class Scenario(NamedTuple):
     stop_after: Optional[int] = None
 
 
-_GESTURES = {g.value: g for g in Gesture}
 # A word is a run of characters other than blanks, quotes and `#`, and of
 # closed quoted runs; `#` outside quotes starts a comment; a lone `"` is a
 # quote that is never closed.
 _WORD = re.compile(r'(?:[^ \t"#]|"(?:[^"\\]|\\.)*")+|#.*|"')
 _STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _KV = re.compile(r'(\w+)=' + _STRING.pattern)
-
-
-def _unescape(s: str) -> str:
-    return s.replace('\\"', '"').replace("\\\\", "\\")
 
 
 def _bad(file: str, lineno: int, msg: str) -> ScenarioError:
@@ -122,10 +118,10 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
         if '"' in words:
             raise _bad(file, lineno, "No closing quotation")
         head = words[0]
-        if head in _GESTURES:
+        if head in GESTURES:
             if len(words) != 2:
                 raise _bad(file, lineno, f"expected: {head} <Widget>")
-            gestures.append((words[1], _GESTURES[head]))
+            gestures.append((words[1], GESTURES[head]))
         elif head == "op":
             if len(words) != 4 or words[2] != "->":
                 raise _bad(file, lineno, 'expected: op <name> -> "<string>"|true|false')

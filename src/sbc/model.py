@@ -2,8 +2,10 @@
 
 The types here are `typing.NamedTuple` records, immutable because tuples are,
 and so safe to share between threads; `record` makes each a value type.
-Validation is pure: the same model always yields the same diagnostic list, in
-the same order.
+`AppModel` keeps, each built once on first use, its declarations by name and
+its value positions (`sites`), which validation, the flow analysis, the rules
+and code generation all read.  Validation is pure: the same model always
+yields the same diagnostic list, in the same order.
 """
 
 from __future__ import annotations
@@ -241,7 +243,8 @@ class Transition(NamedTuple):
     span: Optional[SourceSpan] = None
 
 
-class _Screen(NamedTuple):
+@record
+class Screen(NamedTuple):
     name: str
     uris: tuple[Uri, ...] = ()
     params: tuple[str, ...] = ()  # declared `param` names
@@ -249,9 +252,6 @@ class _Screen(NamedTuple):
     transitions: tuple[Transition, ...] = ()
     span: Optional[SourceSpan] = None
 
-
-@record
-class Screen(_Screen):  # a subclass has a __dict__, which cached_property needs
     @property
     def uri_params(self) -> tuple[str, ...]:
         return self.uris[0].params if self.uris else ()
@@ -262,9 +262,10 @@ class Screen(_Screen):  # a subclass has a __dict__, which cached_property needs
         extra = tuple(p for p in self.uri_params if p not in self.params)
         return self.params + extra
 
-    @cached_property
+    @property
     def ordered_transitions(self) -> tuple[Transition, ...]:
-        """The transitions sorted by order index, the order they are tried in."""
+        """The transitions sorted by order index, the order they are tried in;
+        each of its readers reads it once per screen."""
         return tuple(sorted(self.transitions, key=lambda t: t.order))
 
 
@@ -317,11 +318,15 @@ class AppModel(_AppModel):  # a subclass, for its cached properties' __dict__
         return self._by_name[2].get(name)
 
     @cached_property
+    def positions(self) -> tuple[tuple, ...]:
+        """What `sites` yields, from the one walk that every reader shares."""
+        return tuple(sites(self))
+
+    @cached_property
     def operations(self) -> tuple[tuple[Screen, OperationUse], ...]:
         """Every operation use with the screen that holds it, in declaration
-        order, those nested in arguments and guards included: the one walk
-        that every reader of the uses shares."""
-        return tuple((s, v) for s, _, _, _, v in sites(self) if isinstance(v, OperationUse))
+        order, those nested in arguments and guards included."""
+        return tuple((s, v) for s, _, _, _, v in self.positions if isinstance(v, OperationUse))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +394,7 @@ def sites(model: AppModel):
     whose argument it is, or the Transition whose guard holds it as a term (then
     `holder is transition` and `safe` is False).  `transition` is None inside a
     widget.  The parser bounds every expression's size, so the recursion is
-    shallow.  `AppModel.operations` keeps the operation uses of one walk, so
-    only the readers of the other positions walk again.
+    shallow.  The readers read `AppModel.positions`, which keeps one walk.
     """
     for s in model.screens:
         for w in s.widgets:
@@ -424,12 +428,6 @@ def _guard_sites(s, t, b):
         yield from _guard_sites(s, t, b.inner)
 
 
-def boolean_position_ops(model: AppModel) -> set[str]:
-    """Names of operations used directly as boolean guard terms."""
-    return {v.name for s in model.screens for t in s.transitions if t.guard is not None
-            for _, _, holder, _, v in _guard_sites(s, t, t.guard) if holder is t}
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -449,8 +447,6 @@ def validate(model: AppModel) -> list[Diagnostic]:
             out.append(_err("WF001", f"duplicate screen name '{s.name}'", s.span))
         else:
             seen[s.name] = s.span
-    screen_names = {s.name for s in model.screens}
-    proxy_names = {p.name for p in model.proxies}
 
     if not model.app_id:
         out.append(_err("WF001", "app id must be a nonempty string", model.span))
@@ -458,7 +454,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
     # start screen
     if not model.screens:
         out.append(_err("WF008", "storyboard declares no screens", model.span))
-    elif model.start is not None and model.start not in screen_names:
+    elif model.start is not None and model.screen(model.start) is None:
         out.append(_err("WF008", f"start screen '{model.start}' does not exist", model.span))
 
     # resources
@@ -488,11 +484,11 @@ def validate(model: AppModel) -> list[Diagnostic]:
     # One pass over the value positions gathers the names of the operations
     # used as guard terms and as values, and the unknown names, which
     # `_validate_screen` reports per screen (widgets) and per transition.
-    positions: tuple[set[str], set[str]] = (set(), set())  # guard terms, values
+    used_as: tuple[set[str], set[str]] = (set(), set())  # names used as guard terms, as values
     named: dict[int, list[Diagnostic]] = {}  # by id of the screen or transition
     spans: dict[int, Optional[SourceSpan]] = {}  # the span an operation's arguments report
     scope = None
-    for s, t, holder, _, v in sites(model):
+    for s, t, holder, _, v in model.positions:
         if holder is t:
             span = t.span
         elif isinstance(holder, OperationUse):
@@ -500,7 +496,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
         else:
             span = holder.span if t is None else holder.span or t.span
         if isinstance(v, OperationUse):
-            positions[holder is not t].add(v.name)
+            used_as[holder is not t].add(v.name)
             spans[id(v)] = v.span or span
             continue
         if not isinstance(v, Ref):
@@ -518,7 +514,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
         named.setdefault(id(s if t is None else t), []).append(d)
 
     for s in model.screens:
-        out.extend(_validate_screen(model, s, screen_names, proxy_names, named))
+        out.extend(_validate_screen(model, s, named))
 
     # operation use consistency (global): arity and capability agreement
     uses: dict[str, list[OperationUse]] = {}
@@ -533,7 +529,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
             out.append(_err("WF006", f"operation '{name}' used with conflicting capabilities", same[0].span))
 
     # boolean/non-boolean position consistency
-    for name in sorted(positions[0] & positions[1]):
+    for name in sorted(used_as[0] & used_as[1]):
         out.append(_err("WF006", f"operation '{name}' used in both boolean and value positions"))
 
     # capability references must resolve to builtin or declared resources,
@@ -559,7 +555,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
     return out
 
 
-def _validate_screen(model, s, screen_names, proxy_names, named):
+def _validate_screen(model, s, named):
     out: list[Diagnostic] = []
 
     # all URIs of a screen must carry the same parameter set
@@ -588,7 +584,9 @@ def _validate_screen(model, s, screen_names, proxy_names, named):
 
     widgets = {w.id for w in s.widgets}
     for t in s.transitions:
-        if t.dest not in screen_names and t.dest not in proxy_names:
+        dest_screen = model.screen(t.dest)
+        proxy = model.proxy(t.dest) if dest_screen is None else None
+        if dest_screen is None and proxy is None:
             out.append(_err("WF007", f"transition '{t.id}' targets unknown screen '{t.dest}'", t.span))
         if t.user_action is not None:
             wid, _ = t.user_action
@@ -596,12 +594,12 @@ def _validate_screen(model, s, screen_names, proxy_names, named):
                 out.append(_err("WF007", f"transition '{t.id}' names unknown widget '{wid}'", t.span))
         out.extend(named.get(id(t), ()))
         targets = [b.target for b in t.bindings]
-        if t.dest in screen_names:
-            dest, want = "screen", set(model.screen(t.dest).params)
+        if dest_screen is not None:
+            dest, want = "screen", set(dest_screen.params)
             if len(targets) != len(set(targets)):
                 out.append(_err("WF003", f"transition '{t.id}' binds a parameter twice", t.span))
-        elif t.dest in proxy_names:
-            dest, want = "proxy", set(model.proxy(t.dest).uri.params)
+        elif proxy is not None:
+            dest, want = "proxy", set(proxy.uri.params)
         else:
             continue
         for m in sorted(want - set(targets)):

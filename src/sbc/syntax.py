@@ -122,8 +122,12 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _new = tuple.__new__  # a record from all its fields, in order, at under half the cost of calling its class
 
 
+def _unescape(s: str) -> str:
+    return s.replace('\\"', '"').replace("\\\\", "\\")
+
+
 def _unquote(tok: str) -> str:
-    return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")  # a lone \ never precedes " or \
+    return _unescape(tok[1:-1])  # a lone \ never precedes " or \
 
 
 def _line_starts(text: str) -> list[int]:
@@ -521,12 +525,8 @@ def parse(text: str, file: str = "<input>") -> ParseOutcome:
     toks, offsets, diags = _lex(text, file)
     parser = _Parser(text, file, toks, offsets)
     model = parser.storyboard()
-    diags.extend(parser.diags)
-    if diags or model is None:
-        if not diags:
-            diags = [Diagnostic(Severity.ERROR, "PAR002", "empty input", SourceSpan(file, 1, 1, 0))]
-        return ParseOutcome(None, diags)
-    return ParseOutcome(model, [])
+    diags.extend(parser.diags)  # storyboard() returns no model only after an error
+    return ParseOutcome(None, diags) if diags else ParseOutcome(model, [])
 
 
 # ---------------------------------------------------------------------------
@@ -569,19 +569,19 @@ def _fmt_op(op: OperationUse) -> str:
     return out + _fmt_attrs(op.attributes)
 
 
-def _fmt_bool(b: BoolExpr, parent: Optional[str] = None) -> str:
+def _fmt_bool(b: BoolExpr) -> str:
     if isinstance(b, BConst):
         return "true" if b.value else "false"
     if isinstance(b, BOp):
         return _fmt_op(b.op)
     if isinstance(b, BNot):
-        inner = _fmt_bool(b.inner, "not")
+        inner = _fmt_bool(b.inner)
         if isinstance(b.inner, (BAnd, BOr)):
             inner = f"({inner})"
         return f"not {inner}"
     op = "and" if isinstance(b, BAnd) else "or"
-    left = _fmt_bool(b.left, op)
-    right = _fmt_bool(b.right, op)
+    left = _fmt_bool(b.left)
+    right = _fmt_bool(b.right)
     if isinstance(b.left, (BAnd, BOr)) and not isinstance(b.left, type(b)):
         left = f"({left})"
     if isinstance(b.right, (BAnd, BOr)):

@@ -403,9 +403,10 @@ def calls(monkeypatch):
 
 
 class TestOnePass:
-    # Four walks over the value positions: validate's, the one behind
-    # AppModel.operations, build_influences' and collect_safe's.
-    ONCE = {"build_influences": 1, "collect_safe": 1, "closure": 0, "check_all": 1, "validate": 1, "sites": 4}
+    # One walk over the value positions, kept in AppModel.positions, which
+    # validate, AppModel.operations, build_influences, collect_safe and
+    # codegen read.
+    ONCE = {"build_influences": 1, "collect_safe": 1, "closure": 0, "check_all": 1, "validate": 1, "sites": 1}
 
     def test_generate_runs_each_stage_once(self, capsys, tmp_path, calls):
         code, _, _ = run(capsys, "generate", fixture("messenger_safe.sbd"), "-o", str(tmp_path / "out"))
@@ -414,6 +415,11 @@ class TestOnePass:
     def test_analyze_runs_each_stage_once(self, capsys, calls):
         code, _, _ = run(capsys, "analyze", fixture("messenger.sbd"))
         assert code == 1 and calls == self.ONCE
+
+    def test_simulate_runs_each_stage_once(self, capsys, calls):
+        scenario = str(FIXTURES / "scenarios" / "messenger_run.scn")
+        code, out, _ = run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", scenario)
+        assert code == 1 and "\ntransition: SaveStatus" in out and calls == self.ONCE
 
 
 def deep_model(n):

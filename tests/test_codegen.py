@@ -85,7 +85,7 @@ class TestResourceUnit:
         m = parse_text(
             'app "a" resource NOTIFIER access user { priv capability notify\ncapability peek } screen S { }'
         )
-        unit = codegen.generate_resource_unit(m, m.resources[0])
+        unit = codegen.generate_resource_unit(m.resources[0])
         assert unit.path == "resources/NOTIFIER.res"
         assert "access=user" in unit.contents
         assert "capability notify privileged" in unit.contents
@@ -94,7 +94,7 @@ class TestResourceUnit:
 
     def test_own_access_annotated(self):
         m = parse_text('app "a" resource R access own { capability c } screen S { }')
-        unit = codegen.generate_resource_unit(m, m.resources[0])
+        unit = codegen.generate_resource_unit(m.resources[0])
         assert "signing identity" in unit.contents
 
 

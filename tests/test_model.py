@@ -21,7 +21,6 @@ from sbc.model import (
     SourceSpan,
     Severity,
     Trust,
-    boolean_position_ops,
     qualify,
     sites,
     start_screen,
@@ -239,7 +238,7 @@ class TestSites:
     def test_filters_over_sites(self):
         m = parse_text(SITES)
         assert [(s.name, op.name) for s, op in m.operations] == [("S", "f"), ("S", "g"), ("S", "h"), ("S", "k")]
-        assert boolean_position_ops(m) == {"h", "k"}
+        assert {v.name for _, t, holder, _, v in m.positions if holder is t} == {"h", "k"}
 
 
 class TestLookups:

@@ -45,6 +45,12 @@ class TestParse:
         assert not out.ok
         assert any("Foo" in d.message for d in out.diagnostics)
 
+    @pytest.mark.parametrize("text", ["", "   ", "# c\n"], ids=["empty", "blanks", "comment"])
+    def test_no_app_is_one_error(self, text):
+        out = syntax.parse(text, "t")
+        assert out.model is None
+        assert [(d.code, d.message) for d in out.diagnostics] == [("PAR002", "expected 'app', found end of input")]
+
     def test_failure_never_yields_model(self):
         out = syntax.parse('app "a" screen S { Button }', "t")
         assert out.model is None and out.diagnostics

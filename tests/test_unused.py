@@ -1,6 +1,7 @@
 """Nothing in the package exists only for tests: every top-level function and
-class of `src/sbc` is used by the package itself or by the benchmark.  And
-every name that a module of `tests/` imports is used in it."""
+class of `src/sbc` is used by the package itself or by the benchmark.  Every
+parameter of a function in `src/sbc` is read in its body.  And every name
+that a module of `tests/` imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,19 @@ def test_every_definition_has_a_user_outside_tests():
                 definitions.append((path.stem, stmt.name))
             used |= _names(stmt) - {getattr(stmt, "name", None)}  # a recursive call is no use
     assert [f"{m}.{name}" for m, name in definitions if name not in used and (m, name) not in ENTRY_POINTS] == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = fn.args
+                params = [*a.posonlyargs, *a.args, *filter(None, (a.vararg, a.kwarg)), *a.kwonlyargs]
+                body = fn.body if isinstance(fn.body, list) else [fn.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                unread += [f"{path.name}:{fn.lineno} {p.arg}" for p in params if p.arg not in read]
+    assert unread == []
 
 
 def test_every_name_a_test_module_imports_is_used():
