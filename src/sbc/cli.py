@@ -68,20 +68,19 @@ def _machine_line(d: Diagnostic, names: _Names) -> str:
     )
 
 
-def emit_diagnostics(findings: list[Diagnostic], fmt: str, stream=None) -> None:
+def emit_diagnostics(findings: list[Diagnostic], fmt: str) -> None:
     """Print the findings, sorted by place and code, in one write."""
-    stream = stream or sys.stdout
     ordered = sorted(findings, key=_sort_key)
     if fmt == "machine":
         names = _Names(lambda q: _json_str(str(q)))
         lines = [_machine_line(d, names) for d in ordered]
-    elif _use_color(stream):
+    elif _use_color(sys.stdout):
         lines = [_COLORS[d.severity] + d.format_human() + "\x1b[0m" for d in ordered]
     else:
         lines = [d.format_human() for d in ordered]
     if lines:
         lines.append("")  # the last line's newline
-        stream.write("\n".join(lines))
+        sys.stdout.write("\n".join(lines))
 
 
 def _read_text(path: str) -> Optional[str]:
@@ -94,6 +93,11 @@ def _read_text(path: str) -> Optional[str]:
     except UnicodeDecodeError:
         print(f"error: cannot read {path}: not valid UTF-8", file=sys.stderr)
     return None
+
+
+def _cannot_write(e: OSError, path: str) -> int:
+    print(f"error: cannot write {e.filename or path}: {e.strerror}", file=sys.stderr)
+    return EXIT_FAILURE
 
 
 def _load_model(path: str, fmt: str) -> Optional[AppModel]:
@@ -195,13 +199,12 @@ def _cmd_generate(args) -> int:
         model = _load_model(path, args.format)
         if model is None:
             return EXIT_FAILURE
-        try:
-            units, findings = codegen.generate_all(model)
-        except codegen.GenerationBlocked as e:
-            emit_diagnostics(e.findings, args.format)
-            return EXIT_FINDINGS
+        units, findings = codegen.generate_all(model)  # no units while a finding is an error
         emit_diagnostics(findings, args.format)
-        codegen.write_units(units, args.out)
+        try:
+            codegen.write_units(units, args.out)
+        except OSError as e:
+            return _cannot_write(e, args.out)
         return _result_code(findings, args.fail_on_warnings)
 
     return _per_file(args, one)
@@ -214,8 +217,11 @@ def _cmd_fmt(args) -> int:
             return EXIT_FAILURE
         text = syntax.format_model(model)
         if args.write:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as e:
+                return _cannot_write(e, path)
         else:
             sys.stdout.write(text)
         return EXIT_CLEAN

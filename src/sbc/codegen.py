@@ -5,9 +5,10 @@ one controller unit per screen, one endpoint unit per custom resource, an
 operations stub with inferred signatures, and a dependency manifest.
 
 Generation is gated on `rules.findings`, the same pass the CLI reports: it
-refuses to run while the model has any error, whether a well-formedness
+returns no units while the model has any error, whether a well-formedness
 error, an information-flow violation or a rule error (warnings do not
-block).  Output is byte-identical across invocations for the same model.
+block).  A model that passes always yields at least `manifest.txt` and
+`ops.stub`.  Output is byte-identical across invocations for the same model.
 """
 
 from __future__ import annotations
@@ -51,35 +52,6 @@ class OpSignature(NamedTuple):
 class GeneratedUnit(NamedTuple):
     path: str
     contents: str
-
-
-class Manifest(NamedTuple):
-    app_id: str
-    resources: tuple[tuple[str, Access], ...]
-    dependencies: tuple[str, ...]  # builtin resources in use
-    exported_uris: tuple[str, ...]
-
-    def render(self) -> str:
-        lines = [f"app {_quote(self.app_id)}", ""]
-        lines.append("resources:")
-        for name, access in self.resources:
-            lines.append(f"  {name} access={access.value}")
-        lines.append("dependencies:")
-        for dep in self.dependencies:
-            lines.append(f"  builtin {dep}")
-        lines.append("exported-uris:")
-        for uri in self.exported_uris:
-            lines.append(f"  {uri}")
-        return "\n".join(lines) + "\n"
-
-
-class GenerationBlocked(Exception):
-    """Carries every finding of the model, the blocking errors among them."""
-
-    def __init__(self, findings: list[Diagnostic]):
-        errors = sum(d.severity is Severity.ERROR for d in findings)
-        super().__init__(f"{errors} blocking finding(s); fix them before generating code")
-        self.findings = findings
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +204,24 @@ def _ops_stub(model: AppModel) -> GeneratedUnit:
     return GeneratedUnit("ops.stub", "\n".join(lines) + "\n")
 
 
-def build_manifest(model: AppModel) -> Manifest:
-    deps = sorted({op.capability[0] for _, op in model.operations if builtin_cap(op.capability) is not None})
-    uris = []
-    for s in model.screens:
-        for u in s.uris:
-            uris.append(u.render())
-    return Manifest(
-        model.app_id,
-        tuple((r.name, r.access) for r in model.resources),
-        tuple(deps),
-        tuple(sorted(uris)),
-    )
+def _manifest(model: AppModel) -> GeneratedUnit:
+    lines = [f"app {_quote(model.app_id)}", "", "resources:"]
+    lines += [f"  {r.name} access={r.access.value}" for r in model.resources]
+    lines.append("dependencies:")
+    deps = {op.capability[0] for _, op in model.operations if builtin_cap(op.capability) is not None}
+    lines += [f"  builtin {dep}" for dep in sorted(deps)]
+    lines.append("exported-uris:")
+    lines += [f"  {uri}" for uri in sorted(u.render() for s in model.screens for u in s.uris)]
+    return GeneratedUnit("manifest.txt", "\n".join(lines) + "\n")
 
 
 def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], list[Diagnostic]]:
-    """The units and the model's (non-blocking) findings."""
+    """The units, none while a finding is an error, and the model's findings."""
     findings = rules.findings(model)
     if any(d.severity is Severity.ERROR for d in findings):
-        raise GenerationBlocked(findings)
+        return [], findings
 
-    units = [GeneratedUnit("manifest.txt", build_manifest(model).render())]
+    units = [_manifest(model)]
     for s in model.screens:
         units.append(generate_screen_unit(model, s))
     for r in model.resources:

@@ -102,14 +102,14 @@ def _value_node(v, owner: str) -> Optional[QualifiedId]:
     return None
 
 
-def _flow(s, t, holder) -> tuple[QualifiedId, Optional[SourceSpan]]:
-    """The node a value position of `sites` flows into, and the span of its edge.
-    Guard terms (`holder is t`) flow nowhere."""
+def _flow(s, t, holder) -> QualifiedId:
+    """The node a value position of `sites` flows into; its edge's span is
+    `holder.span`.  Guard terms (`holder is t`) flow nowhere."""
     if isinstance(holder, OperationUse):
-        return qualify(holder.name, OPERATION), holder.span
+        return qualify(holder.name, OPERATION)
     if t is None:  # a widget's value
-        return qualify(holder.id, s.name), holder.span
-    return qualify(holder.target, t.dest), holder.span or t.span  # a binding's value
+        return qualify(holder.id, s.name)
+    return qualify(holder.target, t.dest)  # a binding's value
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +135,9 @@ def build_influences(model: AppModel) -> InfluenceGraph:
             continue
         src = _value_node(v, s.name)
         if src is not None:  # literals induce no flow
-            dst, span = _flow(s, t, holder)
+            dst = _flow(s, t, holder)
             if (src, dst) not in graph.edge_origin:
-                graph.edge_origin[src, dst] = span
+                graph.edge_origin[src, dst] = holder.span
                 graph.succ[src].append(dst)
                 graph.pred[dst].append(src)
     return graph
@@ -225,20 +225,20 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
             continue
         in_op = isinstance(holder, OperationUse)
         src = _value_node(v, s.name)
-        dst, span = _flow(s, t, holder)
+        dst = _flow(s, t, holder)
         if t is None and not in_op:  # a safe widget declassifies its input and its uses
             uses = graph.succ.get(dst, ())
             safe.update((dst, m) for m in uses)
             if src is not None:  # build_influences added this edge
                 safe.add((src, dst))
             elif not uses:
-                own.append(unused(f"widget '{holder.id}'", span))
+                own.append(unused(f"widget '{holder.id}'", holder.span))
         elif src is not None:
             safe.add((src, dst))
         elif in_op:
-            warnings.append(unused(f"literal argument of operation '{holder.name}'", span))
+            warnings.append(unused(f"literal argument of operation '{holder.name}'", holder.span))
         else:
-            own.append(unused(f"binding of parameter '{holder.target}'", span))
+            own.append(unused(f"binding of parameter '{holder.target}'", holder.span))
     warnings += own
 
     for p in model.proxies:

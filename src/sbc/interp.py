@@ -51,7 +51,6 @@ from .model import (
     ValueBinding,
     builtin_cap,
     parse_uri,
-    start_screen,
 )
 from .syntax import GESTURES, _unescape
 
@@ -245,7 +244,7 @@ def eval_bool(model: AppModel, screen: Screen, expr: BoolExpr, sigma: dict, stat
 
 def init_app(model: AppModel, scenario: Scenario) -> Configuration:
     if scenario.launch_uri is None:
-        return Configuration(start_screen(model), {})
+        return Configuration(model.start, {})
     base = parse_uri(scenario.launch_uri).base
     for s in model.screens:
         if any(u.base == base for u in s.uris):
@@ -322,7 +321,7 @@ def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[
     return Configuration(dest, bound), "transition", []
 
 
-def run(model: AppModel, scenario: Scenario, step_budget: int = 100) -> Trace:
+def run(model: AppModel, scenario: Scenario, step_budget: int) -> Trace:
     if step_budget < 1:
         raise ValueError("step budget must be at least 1")
     state = ScenarioState(scenario)

@@ -297,7 +297,7 @@ class _AppModel(NamedTuple):
     screens: tuple[Screen, ...] = ()
     proxies: tuple[ProxyScreen, ...] = ()
     resources: tuple[Resource, ...] = ()
-    start: Optional[str] = None  # explicit `start` marker, if any
+    start: Optional[str] = None  # the screen marked `start`, else the first; None without screens
     span: Optional[SourceSpan] = None
 
 
@@ -376,10 +376,7 @@ BUILTIN_CATALOG: dict[tuple[str, str], BuiltinCap] = dict([
 BUILTIN_RESOURCES = frozenset(r for r, _ in BUILTIN_CATALOG)
 
 
-def builtin_cap(capability: Optional[tuple[str, str]]) -> Optional[BuiltinCap]:
-    if capability is None:
-        return None
-    return BUILTIN_CATALOG.get(capability)
+builtin_cap = BUILTIN_CATALOG.get  # a capability's catalog entry; None for None or a non-builtin one
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +448,8 @@ def validate(model: AppModel) -> list[Diagnostic]:
     if not model.app_id:
         out.append(_err("WF001", "app id must be a nonempty string", model.span))
 
-    # start screen
     if not model.screens:
         out.append(_err("WF008", "storyboard declares no screens", model.span))
-    elif model.start is not None and model.screen(model.start) is None:
-        out.append(_err("WF008", f"start screen '{model.start}' does not exist", model.span))
 
     # resources
     rseen = set()
@@ -483,21 +477,14 @@ def validate(model: AppModel) -> list[Diagnostic]:
 
     # One pass over the value positions gathers the names of the operations
     # used as guard terms and as values, and the unknown names, which
-    # `_validate_screen` reports per screen (widgets) and per transition.
+    # `_validate_screen` reports per screen (widgets) and per transition, each
+    # at its holder's span (the parser gives every holder one).
     used_as: tuple[set[str], set[str]] = (set(), set())  # names used as guard terms, as values
     named: dict[int, list[Diagnostic]] = {}  # by id of the screen or transition
-    spans: dict[int, Optional[SourceSpan]] = {}  # the span an operation's arguments report
     scope = None
     for s, t, holder, _, v in model.positions:
-        if holder is t:
-            span = t.span
-        elif isinstance(holder, OperationUse):
-            span = spans[id(holder)]
-        else:
-            span = holder.span if t is None else holder.span or t.span
         if isinstance(v, OperationUse):
             used_as[holder is not t].add(v.name)
-            spans[id(v)] = v.span or span
             continue
         if not isinstance(v, Ref):
             continue
@@ -506,9 +493,9 @@ def validate(model: AppModel) -> list[Diagnostic]:
         if v.name in params:
             continue
         if v.name not in widgets:
-            d = _err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", span)
+            d = _err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", holder.span)
         elif isinstance(holder, Widget):
-            d = _err("WF009", f"widget '{v.name}' cannot be the value of another widget", span)
+            d = _err("WF009", f"widget '{v.name}' cannot be the value of another widget", holder.span)
         else:
             continue
         named.setdefault(id(s if t is None else t), []).append(d)
@@ -607,13 +594,3 @@ def _validate_screen(model, s, named):
         for e in sorted(set(targets) - want):
             out.append(_err("WF003", f"transition '{t.id}' binds '{e}', not a parameter of {dest} '{t.dest}'", t.span))
     return out
-
-
-def start_screen(model: AppModel) -> str:
-    """The screen marked `start`, else the first declared screen."""
-    if model.start is not None:
-        return model.start
-    if not model.screens:
-        raise ValueError("storyboard has no screens")
-    return model.screens[0].name
-

@@ -320,7 +320,7 @@ class _Parser:
             except ParseError as e:
                 self.recover(e, item, in_block=False)
         if start is None and screens:
-            start = screens[0].name  # canonical: the default start is explicit
+            start = screens[0].name  # the parser decides the start; readers take `model.start`
         return _new(AppModel, (app_id, tuple(screens), tuple(proxies), tuple(resources), start, self.span(first)))
 
     def resource(self) -> Resource:
@@ -598,11 +598,10 @@ def format_model(model: AppModel) -> str:
         for c in r.capabilities:
             lines.append("  " + ("priv " if c.priv else "") + f"capability {c.name}")
         lines.append("}")
-    default_start = model.screens[0].name if model.screens else None
     for s in model.screens:
         lines.append("")
         head = "screen " + s.name
-        if model.start is not None and model.start == s.name and s.name != default_start:
+        if s.name == model.start != model.screens[0].name:
             head = "start " + head
         for u in s.uris:
             head += f" uri {_quote(u.render())}"

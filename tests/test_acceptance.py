@@ -162,11 +162,9 @@ def test_07_progress():
 @verdict(8, "generation gate, byte determinism, and marker coverage")
 def test_08_codegen():
     blocked = load_fixture("browser.sbd")
-    try:
-        codegen.generate_all(blocked)
-        raise AssertionError("pre-fix model must be refused")
-    except codegen.GenerationBlocked as e:
-        assert any(f.code == "RC002" for f in e.findings)
+    units, findings = codegen.generate_all(blocked)
+    assert units == [], "pre-fix model must be refused"
+    assert any(f.code == "RC002" for f in findings)
     fixed = load_fixture("browser_fixed.sbd")
     first, _ = codegen.generate_all(fixed)
     second, _ = codegen.generate_all(fixed)

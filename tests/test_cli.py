@@ -101,16 +101,20 @@ def record(d):
 
 
 class TestEmission:
-    def test_machine_lines_are_json_dumps_of_the_record(self):
+    # Each test replaces standard output in its own body: output capture
+    # puts its own back at the start of the call.
+    def test_machine_lines_are_json_dumps_of_the_record(self, monkeypatch):
         out = Writes()
-        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "machine", out)
+        monkeypatch.setattr("sys.stdout", out)
+        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "machine")
         assert out.getvalue() == "".join(json.dumps(record(d)) + "\n" for d in HAND_BUILT)
         assert out.calls == 1
 
     def test_human_color_output(self, monkeypatch):
         monkeypatch.setenv("SBC_COLOR", "1")
         out = Writes()
-        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "human", out)
+        monkeypatch.setattr("sys.stdout", out)
+        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "human")
         assert out.getvalue() == (
             "\x1b[33mwarning IF003 - safe mark on proxy 'P' declassifies no flow\x1b[0m\n"
             '\x1b[31merror RC002 a.sbd:2:1 WebView "w" has no trust-patterns whitelist\x1b[0m\n'
@@ -119,10 +123,11 @@ class TestEmission:
         )
         assert out.calls == 1
 
-    def test_nothing_to_emit_writes_nothing(self):
+    def test_nothing_to_emit_writes_nothing(self, monkeypatch):
         out = Writes()
-        cli.emit_diagnostics([], "machine", out)
-        cli.emit_diagnostics([], "human", out)
+        monkeypatch.setattr("sys.stdout", out)
+        cli.emit_diagnostics([], "machine")
+        cli.emit_diagnostics([], "human")
         assert out.calls == 0
 
 
@@ -260,6 +265,13 @@ class TestGenerate:
         assert (out_dir / "screens" / "Home.ctrl").is_file()
         assert (out_dir / "ops.stub").is_file()
 
+    def test_out_path_is_a_file(self, capsys, tmp_path):
+        out_file = tmp_path / "out"
+        out_file.write_text("kept\n")
+        code, _, err = run(capsys, "generate", fixture("browser_fixed.sbd"), "-o", str(out_file))
+        assert code == 2 and err.splitlines() == [f"error: cannot write {out_file}: {os.strerror(errno.EEXIST)}"]
+        assert out_file.read_text() == "kept\n"
+
     def test_regeneration_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, "generate", fixture("messenger_safe.sbd"), "-o", str(a))
@@ -283,6 +295,23 @@ class TestFmt:
         once = p.read_text()
         run(capsys, "fmt", "-w", str(p))
         assert p.read_text() == once
+
+    def test_failed_write_is_an_io_error(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "m.sbd"
+        text = (FIXTURES / "notes.sbd").read_text()
+        p.write_text(text)
+        real_open = open
+
+        def open_for_reading(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", open_for_reading)
+        code, out, err = run(capsys, "fmt", "-w", str(p))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: cannot write {p}: {os.strerror(errno.EACCES)}"]
+        assert p.read_text() == text
 
     def test_malformed_rejected(self, capsys, tmp_path):
         p = tmp_path / "bad.sbd"

@@ -7,6 +7,14 @@ from sbc import codegen
 from sbc.codegen import ValueType
 
 
+def manifest_section(model, name):
+    """The lines of the `name:` section of the model's manifest.txt."""
+    lines = codegen._manifest(model).contents.splitlines()
+    first = lines.index(name + ":") + 1
+    end = next((i for i in range(first, len(lines)) if not lines[i].startswith("  ")), len(lines))
+    return lines[first:end]
+
+
 class TestSignatures:
     def test_save_phone_boolean_generated(self, messenger):
         sig = codegen.infer_signatures(messenger)["savePhone"]
@@ -100,15 +108,13 @@ class TestResourceUnit:
 
 class TestGenerateAll:
     def test_refuses_on_blocking_findings(self, browser):
-        with pytest.raises(codegen.GenerationBlocked) as exc:
-            codegen.generate_all(browser)
-        assert any(d.code == "RC002" for d in exc.value.findings)
+        units, findings = codegen.generate_all(browser)
+        assert units == [] and any(d.code == "RC002" for d in findings)
 
     @pytest.mark.parametrize("case", sorted(ILL_FORMED))
     def test_refuses_ill_formed_model(self, case):
-        with pytest.raises(codegen.GenerationBlocked) as exc:
-            codegen.generate_all(parse_text(ILL_FORMED[case]))
-        assert any(d.code.startswith("WF") for d in exc.value.findings)
+        units, findings = codegen.generate_all(parse_text(ILL_FORMED[case]))
+        assert units == [] and any(d.code.startswith("WF") for d in findings)
 
     def test_succeeds_after_fixes(self):
         m = load_fixture("browser_fixed.sbd")
@@ -117,7 +123,7 @@ class TestGenerateAll:
             "manifest.txt", "screens/Home.ctrl", "screens/Display.ctrl",
             "screens/DisplayFile.ctrl", "ops.stub",
         }
-        assert codegen.build_manifest(m).dependencies == ("EXT_STORE", "HTTPS")
+        assert manifest_section(m, "dependencies") == ["  builtin EXT_STORE", "  builtin HTTPS"]
 
     def test_warnings_do_not_block(self):
         units, _ = codegen.generate_all(load_fixture("rules/rc003_pos.sbd"))
@@ -141,9 +147,8 @@ class TestGenerateAll:
             assert f"fun {name}(" in blob
 
     def test_manifest_lists_uris_and_deps(self, messenger_safe):
-        manifest = codegen.build_manifest(messenger_safe)
-        assert manifest.dependencies == ("INT_STORE",)
-        assert "app://contacts/{y}" in manifest.exported_uris
+        assert manifest_section(messenger_safe, "dependencies") == ["  builtin INT_STORE"]
+        assert "  app://contacts/{y}" in manifest_section(messenger_safe, "exported-uris")
 
     def test_hooks_marked_for_undefined_ops(self, messenger_safe):
         units, _ = codegen.generate_all(messenger_safe)

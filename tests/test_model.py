@@ -23,7 +23,6 @@ from sbc.model import (
     Trust,
     qualify,
     sites,
-    start_screen,
     validate,
 )
 
@@ -254,7 +253,7 @@ class TestLookups:
         assert messenger.screen("Nope") is None
 
     def test_start_screen_default_order(self, messenger):
-        assert start_screen(messenger) == "Messenger"
+        assert messenger.start == "Messenger"
 
     def test_first_declaration_wins(self):
         m = parse_text(
@@ -268,7 +267,7 @@ class TestLookups:
 
     def test_start_marker_overrides(self):
         m = parse_text('app "a" screen S { } start screen T { }')
-        assert start_screen(m) == "T"
+        assert m.start == "T"
 
 
 class TestCatalog:

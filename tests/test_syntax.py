@@ -15,6 +15,9 @@ from sbc.codegen import ValueType
 from sbc.model import Gesture, Literal, OperationUse, Ref
 
 ALL_FIXTURES = sorted(glob.glob(str(FIXTURES / "**" / "*.sbd"), recursive=True))
+# the hand-written gate inputs that parse (cutoff.sbd is cut off mid-item)
+PARSED_GATE = [str(p) for p in sorted((Path(__file__).parent / "gate").glob("*.sbd"))
+               if syntax.parse(p.read_text(encoding="utf-8"), str(p)).ok]
 
 
 class TestParse:
@@ -23,17 +26,25 @@ class TestParse:
         assert out.ok
         assert [s.name for s in out.model.screens] == ["Messenger", "Contacts", "MsgStatus", "SaveStatus"]
 
-    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: Path(p).stem)
+    @pytest.mark.parametrize("path", ALL_FIXTURES + PARSED_GATE, ids=lambda p: Path(p).stem)
     def test_every_record_has_all_its_fields(self, path):
-        # the parser builds records with tuple.__new__, which checks no field count
-        def short(node):
+        # The parser builds records with tuple.__new__, which checks no field
+        # count.  It also gives every record a span, which validate and the
+        # flow analysis report as `holder.span`, and it decides the start
+        # screen, which the interpreter reads as `model.start`.
+        def records(node):
             if isinstance(node, tuple):
-                if hasattr(node, "_fields") and len(node) != len(node._fields):
+                if hasattr(node, "_fields"):
                     yield node
                 for child in node:
-                    yield from short(child)
+                    yield from records(child)
 
-        assert list(short(syntax.parse(Path(path).read_text(), path).model)) == []
+        model = syntax.parse(Path(path).read_text(), path).model
+        found = list(records(model))
+        assert [r for r in found if len(r) != len(r._fields)] == []
+        assert [r for r in found if "span" in r._fields and r.span is None] == []
+        names = [s.name for s in model.screens]
+        assert model.start in names if names else model.start is None
 
     def test_empty_screen(self):
         m = parse_text('app "a" screen S { }')

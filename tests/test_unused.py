@@ -1,5 +1,6 @@
-"""Nothing in the package exists only for tests: every top-level function and
-class of `src/sbc` is used by the package itself or by the benchmark.  Every
+"""Nothing in the package exists only for tests: every top-level function,
+class and assigned name of `src/sbc` (dunders aside) is used by the package
+itself or by the benchmark.  Every
 parameter of a function in `src/sbc` is read in its body.  And every name
 that a module of `tests/` imports is used in it."""
 
@@ -31,8 +32,15 @@ def test_every_definition_has_a_user_outside_tests():
     for path in sources:
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, stmt.name))
-            used |= _names(stmt) - {getattr(stmt, "name", None)}  # a recursive call is no use
+                defined = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                defined = {n for n in defined if not (n.startswith("__") and n.endswith("__"))}
+            else:
+                defined = set()
+            definitions += [(path.stem, name) for name in sorted(defined)]
+            used |= _names(stmt) - defined  # a recursive call is no use
     assert [f"{m}.{name}" for m, name in definitions if name not in used and (m, name) not in ENTRY_POINTS] == []
 
 
