@@ -517,7 +517,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
 
     # boolean/non-boolean position consistency
     for name in sorted(used_as[0] & used_as[1]):
-        out.append(_err("WF006", f"operation '{name}' used in both boolean and value positions"))
+        out.append(_err("WF006", f"operation '{name}' used in both boolean and value positions", uses[name][0].span))
 
     # capability references must resolve to builtin or declared resources,
     # except foreign resources (another app's), which are legal and untrusted
