@@ -42,7 +42,6 @@ from .model import (
     OperationUse,
     QualifiedId,
     Ref,
-    Severity,
     SourceSpan,
     Trust,
     builtin_cap,
@@ -214,7 +213,7 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
     warnings: list[Diagnostic] = []
 
     def unused(what: str, span):
-        return Diagnostic(Severity.WARNING, "IF003", f"safe mark on {what} declassifies no flow", span)
+        return Diagnostic("IF003", f"safe mark on {what} declassifies no flow", span)
 
     own: list[Diagnostic] = []  # a widget's or binding's own warning follows its arguments'
     for s, t, holder, is_safe, v in model.positions:
@@ -329,7 +328,7 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
                 if k != s and k in parent:
                     witness = _witness(parent, s, k, names)
                     message = f"{what} '{names[k]}' from '{names[s]}'"
-                    out.append(Diagnostic(Severity.ERROR, code, message, graph.edge_origin[witness[-2:]], witness))
+                    out.append(Diagnostic(code, message, graph.edge_origin[witness[-2:]], witness))
     return out
 
 

@@ -69,13 +69,20 @@ class Severity(Enum):
     WARNING = "warning"
 
 
+# The codes whose findings are warnings; every other code is an error.
+WARNINGS = frozenset({"IF003", "RC003", "RC004", "RC006"})
+
+
 @record
 class Diagnostic(NamedTuple):
-    severity: Severity
     code: str
     message: str
     span: Optional[SourceSpan] = None
     witness: tuple[QualifiedId, ...] = ()
+
+    @property
+    def severity(self) -> Severity:
+        return Severity.WARNING if self.code in WARNINGS else Severity.ERROR
 
     def format_human(self) -> str:
         loc = str(self.span) if self.span else "-"
@@ -429,10 +436,6 @@ def _guard_sites(s, t, b):
 # Well-formedness
 
 
-def _err(code, msg, span=None):
-    return Diagnostic(Severity.ERROR, code, msg, span)
-
-
 def validate(model: AppModel) -> list[Diagnostic]:
     """Check every structural well-formedness constraint; returns all findings."""
     out: list[Diagnostic] = []
@@ -441,28 +444,28 @@ def validate(model: AppModel) -> list[Diagnostic]:
     seen: dict[str, SourceSpan] = {}
     for s in list(model.screens) + list(model.proxies):
         if s.name in seen:
-            out.append(_err("WF001", f"duplicate screen name '{s.name}'", s.span))
+            out.append(Diagnostic("WF001", f"duplicate screen name '{s.name}'", s.span))
         else:
             seen[s.name] = s.span
 
     if not model.app_id:
-        out.append(_err("WF001", "app id must be a nonempty string", model.span))
+        out.append(Diagnostic("WF001", "app id must be a nonempty string", model.span))
 
     if not model.screens:
-        out.append(_err("WF008", "storyboard declares no screens", model.span))
+        out.append(Diagnostic("WF008", "storyboard declares no screens", model.span))
 
     # resources
     rseen = set()
     for r in model.resources:
         if r.name in rseen:
-            out.append(_err("WF001", f"duplicate resource name '{r.name}'", r.span))
+            out.append(Diagnostic("WF001", f"duplicate resource name '{r.name}'", r.span))
         rseen.add(r.name)
         if not r.capabilities:
-            out.append(_err("WF007", f"resource '{r.name}' declares no capabilities", r.span))
+            out.append(Diagnostic("WF007", f"resource '{r.name}' declares no capabilities", r.span))
         cseen = set()
         for c in r.capabilities:
             if c.name in cseen:
-                out.append(_err("WF001", f"duplicate capability '{c.name}' in resource '{r.name}'", r.span))
+                out.append(Diagnostic("WF001", f"duplicate capability '{c.name}' in resource '{r.name}'", r.span))
             cseen.add(c.name)
 
     # URI uniqueness across the app (bases, parameters stripped)
@@ -471,7 +474,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
         uris = s.uris if isinstance(s, Screen) else (s.uri,)
         for u in uris:
             if u.base in bases:
-                out.append(_err("WF004", f"URI '{u.base}' already used by screen '{bases[u.base]}'", s.span))
+                out.append(Diagnostic("WF004", f"URI '{u.base}' already used by screen '{bases[u.base]}'", s.span))
             else:
                 bases[u.base] = s.name
 
@@ -493,9 +496,9 @@ def validate(model: AppModel) -> list[Diagnostic]:
         if v.name in params:
             continue
         if v.name not in widgets:
-            d = _err("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", holder.span)
+            d = Diagnostic("WF007", f"unknown identifier '{v.name}' in screen '{s.name}'", holder.span)
         elif isinstance(holder, Widget):
-            d = _err("WF009", f"widget '{v.name}' cannot be the value of another widget", holder.span)
+            d = Diagnostic("WF009", f"widget '{v.name}' cannot be the value of another widget", holder.span)
         else:
             continue
         named.setdefault(id(s if t is None else t), []).append(d)
@@ -510,14 +513,15 @@ def validate(model: AppModel) -> list[Diagnostic]:
     for name, same in uses.items():
         arities = {len(op.args) for op in same}
         if len(arities) > 1:
-            out.append(_err("WF006", f"operation '{name}' used with inconsistent arities {sorted(arities)}", same[0].span))
+            out.append(Diagnostic("WF006", f"operation '{name}' used with inconsistent arities {sorted(arities)}",
+                                  same[0].span))
         caps = {op.capability for op in same if op.capability is not None}
         if len(caps) > 1:
-            out.append(_err("WF006", f"operation '{name}' used with conflicting capabilities", same[0].span))
+            out.append(Diagnostic("WF006", f"operation '{name}' used with conflicting capabilities", same[0].span))
 
     # boolean/non-boolean position consistency
     for name in sorted(used_as[0] & used_as[1]):
-        out.append(_err("WF006", f"operation '{name}' used in both boolean and value positions", uses[name][0].span))
+        out.append(Diagnostic("WF006", f"operation '{name}' used in both boolean and value positions", uses[name][0].span))
 
     # capability references must resolve to builtin or declared resources,
     # except foreign resources (another app's), which are legal and untrusted
@@ -528,9 +532,9 @@ def validate(model: AppModel) -> list[Diagnostic]:
         rn, cn = op.capability
         if rn in BUILTIN_RESOURCES:
             if (rn, cn) not in BUILTIN_CATALOG:
-                out.append(_err("WF007", f"builtin resource '{rn}' has no capability '{cn}'", op.span))
+                out.append(Diagnostic("WF007", f"builtin resource '{rn}' has no capability '{cn}'", op.span))
         elif rn in declared and cn not in declared[rn]:
-            out.append(_err("WF007", f"resource '{rn}' has no capability '{cn}'", op.span))
+            out.append(Diagnostic("WF007", f"resource '{rn}' has no capability '{cn}'", op.span))
 
     # attribute legality
     for s in model.screens:
@@ -538,7 +542,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
             if w.kind is not WidgetKind.WEB_VIEW:
                 for k, _ in w.attributes:
                     if k in ("trust-patterns", "allowJS"):
-                        out.append(_err("WF009", f"attribute '{k}' is only legal on WebView widgets", w.span))
+                        out.append(Diagnostic("WF009", f"attribute '{k}' is only legal on WebView widgets", w.span))
     return out
 
 
@@ -548,17 +552,18 @@ def _validate_screen(model, s, named):
     # all URIs of a screen must carry the same parameter set
     psets = {frozenset(u.params) for u in s.uris}
     if len(psets) > 1:
-        out.append(_err("WF005", f"URIs of screen '{s.name}' carry different parameter sets", s.span))
+        out.append(Diagnostic("WF005", f"URIs of screen '{s.name}' carry different parameter sets", s.span))
 
     # per-screen namespace: widgets and params share it
     names = set()
     for w in s.widgets:
         if w.id in names:
-            out.append(_err("WF001", f"duplicate widget id '{w.id}' in screen '{s.name}'", w.span))
+            out.append(Diagnostic("WF001", f"duplicate widget id '{w.id}' in screen '{s.name}'", w.span))
         names.add(w.id)
     for p in s.all_params:
         if p in names:
-            out.append(_err("WF001", f"name '{p}' used for both a widget and a parameter in screen '{s.name}'", s.span))
+            out.append(Diagnostic("WF001", f"name '{p}' used for both a widget and a parameter in screen '{s.name}'",
+                                  s.span))
         names.add(p)
 
     # names the widgets' values use that the screen does not declare
@@ -567,30 +572,32 @@ def _validate_screen(model, s, named):
     # transitions: total order 1..n, known destinations, exact binding cover
     orders = sorted(t.order for t in s.transitions)
     if orders != list(range(1, len(orders) + 1)):
-        out.append(_err("WF002", f"transition order indices of screen '{s.name}' must be exactly 1..{len(orders)}", s.span))
+        out.append(Diagnostic("WF002", f"transition order indices of screen '{s.name}' must be exactly 1..{len(orders)}",
+                              s.span))
 
     widgets = {w.id for w in s.widgets}
     for t in s.transitions:
         dest_screen = model.screen(t.dest)
         proxy = model.proxy(t.dest) if dest_screen is None else None
         if dest_screen is None and proxy is None:
-            out.append(_err("WF007", f"transition '{t.id}' targets unknown screen '{t.dest}'", t.span))
+            out.append(Diagnostic("WF007", f"transition '{t.id}' targets unknown screen '{t.dest}'", t.span))
         if t.user_action is not None:
             wid, _ = t.user_action
             if wid not in widgets:
-                out.append(_err("WF007", f"transition '{t.id}' names unknown widget '{wid}'", t.span))
+                out.append(Diagnostic("WF007", f"transition '{t.id}' names unknown widget '{wid}'", t.span))
         out.extend(named.get(id(t), ()))
         targets = [b.target for b in t.bindings]
         if dest_screen is not None:
             dest, want = "screen", set(dest_screen.params)
             if len(targets) != len(set(targets)):
-                out.append(_err("WF003", f"transition '{t.id}' binds a parameter twice", t.span))
+                out.append(Diagnostic("WF003", f"transition '{t.id}' binds a parameter twice", t.span))
         elif proxy is not None:
             dest, want = "proxy", set(proxy.uri.params)
         else:
             continue
         for m in sorted(want - set(targets)):
-            out.append(_err("WF003", f"transition '{t.id}' provides no value for parameter '{m}' of {dest} '{t.dest}'", t.span))
+            out.append(Diagnostic("WF003", f"transition '{t.id}' provides no value for parameter '{m}' of {dest} '{t.dest}'",
+                                  t.span))
         for e in sorted(set(targets) - want):
-            out.append(_err("WF003", f"transition '{t.id}' binds '{e}', not a parameter of {dest} '{t.dest}'", t.span))
+            out.append(Diagnostic("WF003", f"transition '{t.id}' binds '{e}', not a parameter of {dest} '{t.dest}'", t.span))
     return out

@@ -26,7 +26,6 @@ from .model import (
     AppModel,
     Diagnostic,
     OperationUse,
-    Severity,
     WidgetKind,
     builtin_cap,
     validate,
@@ -37,15 +36,8 @@ def check_access_control(model: AppModel) -> list[Diagnostic]:
     out = []
     for r in model.resources:
         if r.access is Access.ALL and any(c.priv for c in r.capabilities):
-            out.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "RC001",
-                    f"resource '{r.name}' exposes privileged capabilities with access 'all'; "
-                    "restrict access to 'user' or 'own'",
-                    r.span,
-                )
-            )
+            out.append(Diagnostic("RC001", f"resource '{r.name}' exposes privileged capabilities with access 'all'; "
+                                           "restrict access to 'user' or 'own'", r.span))
     return out
 
 
@@ -57,14 +49,8 @@ def check_webview_whitelist(model: AppModel) -> list[Diagnostic]:
                 continue
             patterns = w.attr("trust-patterns")
             if not patterns:
-                out.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "RC002",
-                        f"WebView '{w.id}' in screen '{s.name}' has no trust-patterns whitelist",
-                        w.span,
-                    )
-                )
+                out.append(Diagnostic("RC002", f"WebView '{w.id}' in screen '{s.name}' has no trust-patterns whitelist",
+                                      w.span))
     return out
 
 
@@ -73,19 +59,9 @@ def _cert_pinning(op: OperationUse) -> Optional[Diagnostic]:
     if cap is None or op.attr("disableCertPin") is not True:
         return None
     if "https" in cap.tags:
-        return Diagnostic(
-            Severity.WARNING,
-            "RC003",
-            f"operation '{op.name}' disables certificate pinning on an https capability",
-            op.span,
-        )
+        return Diagnostic("RC003", f"operation '{op.name}' disables certificate pinning on an https capability", op.span)
     if "ssl-socket" in cap.tags:
-        return Diagnostic(
-            Severity.WARNING,
-            "RC004",
-            f"operation '{op.name}' disables certificate pinning on an ssl socket",
-            op.span,
-        )
+        return Diagnostic("RC004", f"operation '{op.name}' disables certificate pinning on an ssl socket", op.span)
     return None
 
 
@@ -103,23 +79,13 @@ def _cipher_key(op: OperationUse) -> Optional[Diagnostic]:
         return None
     if op.args and _keystore_backed(op.args[0].value):
         return None
-    return Diagnostic(
-        Severity.ERROR,
-        "RC005",
-        f"cipher operation '{op.name}' must take its key from a keystore-backed operation",
-        op.span,
-    )
+    return Diagnostic("RC005", f"cipher operation '{op.name}' must take its key from a keystore-backed operation", op.span)
 
 
 def _http_use(op: OperationUse) -> Optional[Diagnostic]:
     if op.capability is None or op.capability[0] != "HTTP":
         return None
-    return Diagnostic(
-        Severity.WARNING,
-        "RC006",
-        f"operation '{op.name}' uses plaintext HTTP; prefer an HTTPS capability",
-        op.span,
-    )
+    return Diagnostic("RC006", f"operation '{op.name}' uses plaintext HTTP; prefer an HTTPS capability", op.span)
 
 
 def check_all(model: AppModel) -> list[Diagnostic]:

@@ -63,7 +63,6 @@ from .model import (
     Ref,
     Resource,
     Screen,
-    Severity,
     SourceSpan,
     Transition,
     Uri,
@@ -165,7 +164,7 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
                     msg = f"unexpected character {m.string[i]!r}"
                 else:
                     msg = f"{n} unexpected characters starting with {m.string[i]!r}"
-                diags.append(Diagnostic(Severity.ERROR, "PAR001", msg, _span(file, starts, offsets[k] - ends[k] + i, n)))
+                diags.append(Diagnostic("PAR001", msg, _span(file, starts, offsets[k] - ends[k] + i, n)))
                 i += n
     return toks, offsets, diags
 
@@ -237,14 +236,14 @@ class _Parser:
     def fail(self, msg: str, code: str = "PAR002") -> ParseError:
         t = self.toks[self.pos]
         got = repr(_unquote(t) if t[:1] == '"' else t) if t else "end of input"
-        return ParseError(Diagnostic(Severity.ERROR, code, f"{msg}, found {got}", self.span(self.pos)))
+        return ParseError(Diagnostic(code, f"{msg}, found {got}", self.span(self.pos)))
 
     def known(self, table: dict, what: str):
         """The entry of table that the current IDENT names."""
         i = self.pos
         word = self.ident(what)
         if word not in table:
-            raise ParseError(Diagnostic(Severity.ERROR, "PAR003", f"unknown {what} '{word}'", self.span(i)))
+            raise ParseError(Diagnostic("PAR003", f"unknown {what} '{word}'", self.span(i)))
         return table[word]
 
     def expression(self, parse):

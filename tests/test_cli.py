@@ -13,7 +13,7 @@ from conftest import FIXTURES, ILL_FORMED
 from golden import SCENARIO_WORDS, WORDS, mutate, mutate_scenario
 
 from sbc import cli, codegen, infoflow, interp, model, rules, syntax
-from sbc.model import OPERATION, Diagnostic, Severity, SourceSpan, qualify, validate
+from sbc.model import OPERATION, Diagnostic, SourceSpan, qualify, validate
 
 
 def fixture(name):
@@ -69,9 +69,9 @@ class TestExitCodes:
 
 # Hand-built findings, in the order emit_diagnostics sorts them (file, line, code).
 HAND_BUILT = [
-    Diagnostic(Severity.WARNING, "IF003", "safe mark on proxy 'P' declassifies no flow"),
-    Diagnostic(Severity.ERROR, "RC002", 'WebView "w" has no trust-patterns whitelist', SourceSpan("a.sbd", 2, 1)),
-    Diagnostic(Severity.ERROR, "IF001", "untrusted value reaches 'naïve@S' from 'y@S'",
+    Diagnostic("IF003", "safe mark on proxy 'P' declassifies no flow"),
+    Diagnostic("RC002", 'WebView "w" has no trust-patterns whitelist', SourceSpan("a.sbd", 2, 1)),
+    Diagnostic("IF001", "untrusted value reaches 'naïve@S' from 'y@S'",
                SourceSpan('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
                                                             qualify("naïve", "S"))),
 ]

@@ -1,10 +1,12 @@
 """Security rule checks RC001-RC006."""
 
+import re
+
 import pytest
 from conftest import FIXTURES, load_fixture, parse_text
 
 from sbc import rules
-from sbc.model import Severity
+from sbc.model import WARNINGS, Diagnostic, Severity
 
 
 def rule_fixture(name):
@@ -41,6 +43,16 @@ def cert_pinning(model):
 )
 def test_rule_fixture(name, expected):
     assert findings_of(rule_fixture(name)) == expected
+
+
+def test_severity_follows_the_code():
+    # The module docstring's table, plus the flow codes: IF003 warns, the
+    # violations are errors, and so is every parse and well-formedness code.
+    table = dict(re.findall(r"^  (RC\d{3}) \((error|warning)\)", rules.__doc__, re.M))
+    assert sorted(table) == [f"RC00{i}" for i in range(1, 7)]
+    table.update({"IF001": "error", "IF002": "error", "IF003": "warning", "PAR001": "error", "WF006": "error"})
+    assert {code: Diagnostic(code, "m", None).severity.value for code in table} == table
+    assert WARNINGS == {code for code, severity in table.items() if severity == "warning"}
 
 
 class TestAccessControl:
