@@ -38,8 +38,6 @@ _COLORS = {Severity.ERROR: "\x1b[31m", Severity.WARNING: "\x1b[33m"}
 
 
 def _sort_key(d: Diagnostic):
-    if d.span is None:
-        return ("", 0, d.code)
     return (d.span.file, d.span.line, d.code)
 
 
@@ -55,15 +53,21 @@ class _Names(dict):
         return text
 
 
+def _human_line(d: Diagnostic, names: _Names) -> str:
+    """`SEVERITY CODE FILE:LINE:COL MESSAGE`, and the witness on a second line."""
+    span = d.span
+    line = f"{d.severity.value} {d.code} {span.file}:{span.line}:{span.column} {d.message}"
+    if d.witness:
+        line += "\n    flow: " + " -> ".join(map(names.__getitem__, d.witness))
+    return line
+
+
 def _machine_line(d: Diagnostic, names: _Names) -> str:
     """The finding as `json.dumps` writes its record, byte for byte."""
     span = d.span
-    if span is None:
-        where = '"file": null, "line": null, "col": null'
-    else:
-        where = f'"file": {_json_str(span.file)}, "line": {span.line}, "col": {span.column}'
     return (
-        f'{{"severity": {_json_str(d.severity.value)}, "code": {_json_str(d.code)}, {where}, '
+        f'{{"severity": {_json_str(d.severity.value)}, "code": {_json_str(d.code)}, '
+        f'"file": {_json_str(span.file)}, "line": {span.line}, "col": {span.column}, '
         f'"message": {_json_str(d.message)}, "witness": [{", ".join(map(names.__getitem__, d.witness))}]}}'
     )
 
@@ -74,10 +78,11 @@ def emit_diagnostics(findings: list[Diagnostic], fmt: str) -> None:
     if fmt == "machine":
         names = _Names(lambda q: _json_str(str(q)))
         lines = [_machine_line(d, names) for d in ordered]
-    elif _use_color(sys.stdout):
-        lines = [_COLORS[d.severity] + d.format_human() + "\x1b[0m" for d in ordered]
     else:
-        lines = [d.format_human() for d in ordered]
+        names = _Names(str)
+        lines = [_human_line(d, names) for d in ordered]
+        if _use_color(sys.stdout):
+            lines = [_COLORS[d.severity] + line + "\x1b[0m" for d, line in zip(ordered, lines)]
     if lines:
         lines.append("")  # the last line's newline
         sys.stdout.write("\n".join(lines))

@@ -40,9 +40,6 @@ class SourceSpan(NamedTuple):
     column: int  # 1-based
     length: int = 0
 
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.column}"
-
 
 class QualifiedId(NamedTuple):
     """A tuple, so that hashing and comparing ids, which the flow analysis and
@@ -77,20 +74,12 @@ WARNINGS = frozenset({"IF003", "RC003", "RC004", "RC006"})
 class Diagnostic(NamedTuple):
     code: str
     message: str
-    span: Optional[SourceSpan] = None
+    span: Optional[SourceSpan]  # None only in a model built by hand
     witness: tuple[QualifiedId, ...] = ()
 
     @property
     def severity(self) -> Severity:
         return Severity.WARNING if self.code in WARNINGS else Severity.ERROR
-
-    def format_human(self) -> str:
-        loc = str(self.span) if self.span else "-"
-        line = f"{self.severity.value} {self.code} {loc} {self.message}"
-        if self.witness:
-            path = " -> ".join(str(q) for q in self.witness)
-            line += f"\n    flow: {path}"
-        return line
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,24 @@ ILL_FORMED = {
 }
 
 
+def shown(diags):
+    """The findings as (code, message, span), for an assertion's message."""
+    return [(d.code, d.message, d.span) for d in diags]
+
+
 def load_fixture(name: str):
     """Parse a fixture and assert it is well-formed."""
     path = FIXTURES / name
     outcome = syntax.parse(path.read_text(), str(path))
-    assert outcome.ok, [d.format_human() for d in outcome.diagnostics]
+    assert outcome.ok, shown(outcome.diagnostics)
     diags = validate(outcome.model)
-    assert not diags, [d.format_human() for d in diags]
+    assert not diags, shown(diags)
     return outcome.model
 
 
 def parse_text(text: str):
     outcome = syntax.parse(text, "<test>")
-    assert outcome.ok, [d.format_human() for d in outcome.diagnostics]
+    assert outcome.ok, shown(outcome.diagnostics)
     return outcome.model
 
 

@@ -69,7 +69,7 @@ class TestExitCodes:
 
 # Hand-built findings, in the order emit_diagnostics sorts them (file, line, code).
 HAND_BUILT = [
-    Diagnostic("IF003", "safe mark on proxy 'P' declassifies no flow"),
+    Diagnostic("IF003", "safe mark on proxy 'P' declassifies no flow", SourceSpan("a.sbd", 1, 9)),
     Diagnostic("RC002", 'WebView "w" has no trust-patterns whitelist', SourceSpan("a.sbd", 2, 1)),
     Diagnostic("IF001", "untrusted value reaches 'naïve@S' from 'y@S'",
                SourceSpan('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
@@ -92,9 +92,9 @@ def record(d):
     return {
         "severity": d.severity.value,
         "code": d.code,
-        "file": d.span.file if d.span else None,
-        "line": d.span.line if d.span else None,
-        "col": d.span.column if d.span else None,
+        "file": d.span.file,
+        "line": d.span.line,
+        "col": d.span.column,
         "message": d.message,
         "witness": [str(q) for q in d.witness],
     }
@@ -116,7 +116,7 @@ class TestEmission:
         monkeypatch.setattr("sys.stdout", out)
         cli.emit_diagnostics(list(reversed(HAND_BUILT)), "human")
         assert out.getvalue() == (
-            "\x1b[33mwarning IF003 - safe mark on proxy 'P' declassifies no flow\x1b[0m\n"
+            "\x1b[33mwarning IF003 a.sbd:1:9 safe mark on proxy 'P' declassifies no flow\x1b[0m\n"
             '\x1b[31merror RC002 a.sbd:2:1 WebView "w" has no trust-patterns whitelist\x1b[0m\n'
             '\x1b[31merror IF001 dir "q"\\é.sbd:3:7 untrusted value reaches \'naïve@S\' from \'y@S\'\n'
             "    flow: y@S -> f -> naïve@S\x1b[0m\n"
@@ -155,7 +155,7 @@ class TestHumanFormat:
         monkeypatch.setenv("SBC_COLOR", "0")
         _, out, _ = run(capsys, "analyze", "--format", "machine", fixture("categories/w3.sbd"))
         records = [json.loads(line) for line in out.splitlines()]
-        keys = [(r["file"] or "", r["line"] or 0, r["code"]) for r in records]
+        keys = [(r["file"], r["line"], r["code"]) for r in records]
         assert keys == sorted(keys)
 
     def test_color_env_override(self, capsys, monkeypatch):
@@ -165,6 +165,15 @@ class TestHumanFormat:
         monkeypatch.setenv("SBC_COLOR", "0")
         _, out, _ = run(capsys, "analyze", fixture("messenger.sbd"))
         assert "\x1b[" not in out
+
+    def test_each_name_is_formatted_once_per_run(self, messenger, monkeypatch):
+        findings = rules.findings(messenger)  # the messages name nodes too
+        text, calls = model.QualifiedId.__str__, []
+        monkeypatch.setattr(model.QualifiedId, "__str__", lambda q: calls.append(q) or text(q))
+        monkeypatch.setattr("sys.stdout", io.StringIO())
+        cli.emit_diagnostics(findings, "human")
+        witness = [q for d in findings for q in d.witness]
+        assert len(witness) > len(set(witness)) and sorted(calls) == sorted(set(witness))
 
     def test_flow_line_included(self, capsys, monkeypatch):
         monkeypatch.setenv("SBC_COLOR", "0")

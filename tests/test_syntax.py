@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import FIXTURES, parse_text
+from conftest import FIXTURES, parse_text, shown
 from golden import reorder
 from modelgen import gen_model
 
@@ -344,7 +344,7 @@ class TestRandomModels:
         for seed in range(1000):
             once = syntax.format_model(gen_model(seed))
             out = syntax.parse(once, "gen")
-            assert out.ok, (seed, [d.format_human() for d in out.diagnostics])
+            assert out.ok, (seed, shown(out.diagnostics))
             assert syntax.format_model(out.model) == once, seed
 
     def test_names_resolve_whatever_the_item_order(self):
