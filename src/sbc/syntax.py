@@ -23,6 +23,7 @@ The grammar, informally:
     bterm       := "not" bterm | "(" bexpr ")" | "true" | "false" | opcall
 
 `and`/`or` associate left; `not` binds tightest.  `#` starts a comment.
+At most one screen is marked `start`; without a mark the first screen starts.
 URI parameters are embraced trailing segments: "app://contacts/{y}".
 A name used as a value becomes a `Ref` whatever it names: a screen may use
 a name before it declares it, and the readers that need to know whether it
@@ -309,6 +310,8 @@ class _Parser:
                 elif self.at("proxy"):
                     proxies.append(self.proxy())
                 elif self.at("screen") or self.at("start"):
+                    if self.at("start") and start is not None:  # recorded, and the screen is read on
+                        self.diags.append(self.fail("expected at most one 'start' screen").diag)
                     is_start = self.eat("start")
                     s = self.screen()
                     if is_start and start is None:

@@ -142,6 +142,15 @@ class TestParse:
         out = syntax.parse('app "a"\n' + text, "t")
         assert out.diagnostics[0].message == expected
 
+    def test_a_second_start_marker_is_an_error(self):
+        # reported at the marker, and the screens after it are still read
+        out = syntax.parse('app "a"\nstart screen A { }\nstart screen B { Button }\nstart screen C { }\n', "t")
+        assert [(d.code, d.span.line, d.span.column, d.message) for d in out.diagnostics] == [
+            ("PAR002", 3, 1, "expected at most one 'start' screen, found 'start'"),
+            ("PAR002", 3, 25, "expected widget id, found '}'"),
+            ("PAR002", 4, 1, "expected at most one 'start' screen, found 'start'"),
+        ]
+
     def test_unclosed_bodies_read_in_linear_time(self):
         # each unclosed body ends at the next screen, not at the end of the
         # file (4,000 such bodies took 6.5 s when a read-ahead did not stop)
