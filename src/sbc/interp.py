@@ -270,9 +270,8 @@ def _plan(model: AppModel, screen: Screen) -> tuple:
 
 
 def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[Configuration, str, list[tuple]]:
-    """One small step.  Returns (configuration, rule name, events)."""
-    if config.terminal:
-        raise ScenarioError("cannot step a terminal configuration")
+    """One small step from a configuration that is not terminal.  Returns
+    (configuration, rule name, events)."""
     state.steps_taken = n = state.steps_taken + 1
     scenario = state.scenario
     if scenario.stop_after is not None and n >= scenario.stop_after:
@@ -322,8 +321,6 @@ def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[
 
 
 def run(model: AppModel, scenario: Scenario, step_budget: int) -> Trace:
-    if step_budget < 1:
-        raise ValueError("step budget must be at least 1")
     state = ScenarioState(scenario)
     trace = Trace()
     try:

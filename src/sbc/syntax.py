@@ -558,9 +558,7 @@ def _fmt_value(v) -> str:
         return _quote(v.text)
     if isinstance(v, Ref):
         return v.name
-    if isinstance(v, OperationUse):
-        return _fmt_op(v)
-    raise TypeError(v)
+    return _fmt_op(v)
 
 
 def _fmt_op(op: OperationUse) -> str:
