@@ -106,6 +106,13 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
 # Units
 
 
+def _unit(path: str, lines: list[str]) -> GeneratedUnit:
+    """The unit at path whose text is the lines, trailing blank ones dropped."""
+    while lines and lines[-1] == "":
+        lines.pop()
+    return GeneratedUnit(path, "\n".join(lines) + "\n")
+
+
 def generate_screen_unit(model: AppModel, screen: Screen) -> GeneratedUnit:
     lines: list[str] = [f"controller {screen.name}"]
     for u in screen.uris:
@@ -134,8 +141,8 @@ def generate_screen_unit(model: AppModel, screen: Screen) -> GeneratedUnit:
     def emit_chain(transitions):
         for t in transitions:
             guard = _fmt_bool(t.guard) if t.guard is not None else "true"
-            if model.proxy(t.dest) is not None:
-                p = model.proxy(t.dest)
+            p = model.proxy(t.dest)
+            if p is not None:
                 target = f"dispatch-external {t.dest} uri {_quote(p.uri.render())}"
                 if p.app_id is not None:
                     target += f" app {_quote(p.app_id)}"
@@ -157,10 +164,7 @@ def generate_screen_unit(model: AppModel, screen: Screen) -> GeneratedUnit:
         lines.append(f"on {gesture.value} {wid}:")
         emit_chain(by_action[action])
         lines.append("")
-
-    while lines and lines[-1] == "":
-        lines.pop()
-    return GeneratedUnit(f"screens/{screen.name}.ctrl", "\n".join(lines) + "\n")
+    return _unit(f"screens/{screen.name}.ctrl", lines)
 
 
 def generate_resource_unit(resource: Resource) -> GeneratedUnit:
@@ -175,9 +179,7 @@ def generate_resource_unit(resource: Resource) -> GeneratedUnit:
         lines.append(f"capability {c.name}{flag}")
         lines.append(f"{HOOK} {resource.name}.{c.name}")
         lines.append("")
-    while lines and lines[-1] == "":
-        lines.pop()
-    return GeneratedUnit(f"resources/{resource.name}.res", "\n".join(lines) + "\n")
+    return _unit(f"resources/{resource.name}.res", lines)
 
 
 def _ops_stub(model: AppModel) -> GeneratedUnit:
@@ -199,9 +201,7 @@ def _ops_stub(model: AppModel) -> GeneratedUnit:
         else:
             lines.append(f"{HOOK} {name}")
         lines.append("")
-    while lines and lines[-1] == "":
-        lines.pop()
-    return GeneratedUnit("ops.stub", "\n".join(lines) + "\n")
+    return _unit("ops.stub", lines)
 
 
 def _manifest(model: AppModel) -> GeneratedUnit:
@@ -212,7 +212,7 @@ def _manifest(model: AppModel) -> GeneratedUnit:
     lines += [f"  builtin {dep}" for dep in sorted(deps)]
     lines.append("exported-uris:")
     lines += [f"  {uri}" for uri in sorted(u.render() for s in model.screens for u in s.uris)]
-    return GeneratedUnit("manifest.txt", "\n".join(lines) + "\n")
+    return _unit("manifest.txt", lines)
 
 
 def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], list[Diagnostic]]:
