@@ -2,7 +2,7 @@
 class and assigned name of `src/sbc` (dunders aside) is used by the package
 itself or by the benchmark.  Every
 parameter of a function in `src/sbc` is read in its body.  And every name
-that a module of `tests/` imports is used in it."""
+that a module of `src/sbc` or of `tests/` imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -59,11 +59,11 @@ def test_every_parameter_is_read():
 
 def test_every_name_a_test_module_imports_is_used():
     unused = []
-    for path in sorted(TESTS.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-                unused += [f"{path.name}:{node.lineno} {a.asname or a.name}" for a in node.names
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno} {a.asname or a.name}" for a in node.names
                            if (a.asname or a.name).split(".")[0] not in names]
     assert unused == []
