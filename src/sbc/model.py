@@ -68,6 +68,7 @@ class Severity(Enum):
 
 # The codes whose findings are warnings; every other code is an error.
 WARNINGS = frozenset({"IF003", "RC003", "RC004", "RC006"})
+_WARNING, _ERROR = Severity.WARNING, Severity.ERROR  # reading a member off an Enum class costs ~0.1 µs
 
 
 @record
@@ -79,7 +80,7 @@ class Diagnostic(NamedTuple):
 
     @property
     def severity(self) -> Severity:
-        return Severity.WARNING if self.code in WARNINGS else Severity.ERROR
+        return _WARNING if self.code in WARNINGS else _ERROR
 
 
 # ---------------------------------------------------------------------------
