@@ -11,7 +11,8 @@ lacks takes its value from the scenario's `env` lines, and a widget does not.
 Values carry a taint set of originating identifiers so that dynamic flows can
 be checked against the static influence closure.
 
-Scenario files (`.scn`) are line-oriented:
+Scenario files (`.scn`) are line-oriented; a line ends at `\n`, and one `\r`
+before it is dropped, so that CRLF files read as LF ones:
 
     launch                          | launch uri "app://contacts/{y}" y="0123"
     click <Widget> | swipe <Widget> | drag <Widget>
@@ -93,6 +94,11 @@ _STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _KV = re.compile(r'(\w+)=' + _STRING.pattern)
 
 
+# What `str.split()` splits on besides blanks and "\n"; in a text free of these
+# and of non-ASCII characters, `line.split()` splits a line on blanks alone.
+_SPLIT_ALSO = "\v\f\r\x1c\x1d\x1e\x1f"
+
+
 def _bad(file: str, lineno: int, msg: str) -> ScenarioError:
     return ScenarioError(f"{file}:{lineno}: {msg}")
 
@@ -104,8 +110,10 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
     op_results: list[tuple[str, Union[str, bool]]] = []
     uri_env: list[tuple[str, str]] = []
     stop_after = None
-    plain = text.isascii() and "\x1f" not in text  # then str.split() splits on blanks alone
-    for lineno, line in enumerate(text.splitlines(), 1):
+    if "\r" in text:  # a CRLF file: each line loses one trailing "\r"
+        text = "\n".join(line[:-1] if line[-1:] == "\r" else line for line in text.split("\n"))
+    plain = text.isascii() and not any(c in text for c in _SPLIT_ALSO)
+    for lineno, line in enumerate(text.split("\n"), 1):
         if plain and '"' not in line and "#" not in line:
             words = line.split()
         else:

@@ -78,6 +78,28 @@ class TestScenarioParse:
         with pytest.raises(interp.ScenarioError, match="unknown directive 'click\\\\xa0Save'"):
             interp.parse_scenario("click\xa0Save\n")
 
+    @pytest.mark.parametrize("brk", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newline_only(self, brk):
+        s = interp.parse_scenario(f'launch\nop f -> "a{brk}b"\nclick Save\n', "s.scn")
+        assert s.op_results == (("f", f"a{brk}b"),)
+        # outside quotes the character is part of a word, and the line count is by "\n" alone
+        with pytest.raises(interp.ScenarioError, match="^s\\.scn:3: unknown directive"):
+            interp.parse_scenario(f"launch\nclick Save\nclick{brk}Save\n", "s.scn")
+
+    def test_crlf_lines(self):
+        s = interp.parse_scenario('launch\r\nclick Save\r\nop x -> "a b"\r\nstop\r', "s.scn")
+        assert s.gestures == (("Save", Gesture.CLICK),)
+        assert s.op_results == (("x", "a b"),)
+        assert s.stop_after == 2
+        with pytest.raises(interp.ScenarioError, match="^s\\.scn:2: unknown directive 'jump'$"):
+            interp.parse_scenario("launch\r\njump X\r\n", "s.scn")
+
+    def test_a_lone_carriage_return_is_part_of_its_word(self):
+        with pytest.raises(interp.ScenarioError, match="^s\\.scn:1: unknown directive 'click\\\\rSave'$"):
+            interp.parse_scenario("click\rSave\n", "s.scn")
+        with pytest.raises(interp.ScenarioError, match="^s\\.scn:1: expected: click <Widget>$"):
+            interp.parse_scenario("click A\rB C\r\n", "s.scn")
+
     @pytest.mark.parametrize("line", ['op x -> "ab', 'op x -> "a\\"', 'click Sa"ve', 'env y="a b'])
     def test_unclosed_quote_is_located(self, line):
         with pytest.raises(interp.ScenarioError, match=r"^run\.scn:2: No closing quotation$"):
