@@ -11,6 +11,12 @@ lacks takes its value from the scenario's `env` lines, and a widget does not.
 Values carry a taint set of originating identifiers so that dynamic flows can
 be checked against the static influence closure.
 
+A run compiles each screen once, on its first visit, into a plan that its
+`ScenarioState` keeps: closures over the run's one store, in which a literal
+is a constant Value, a name a store lookup with its env default fixed, and an
+operation a callable whose capability verdict, source taint and arguments are
+settled.  A step refills that store from its configuration and runs the plan.
+
 Scenario files (`.scn`) are line-oriented; a line ends at `\n`, and one `\r`
 before it is dropped, so that CRLF files read as LF ones:
 
@@ -32,6 +38,7 @@ app after the preceding gestures have been processed.
 from __future__ import annotations
 
 import re
+from math import inf
 from typing import NamedTuple, Optional, Union
 
 from .infoflow import _op_source_untrusted
@@ -40,8 +47,8 @@ from .model import (
     AppModel,
     BAnd,
     BConst,
+    BNot,
     BOp,
-    BOr,
     BoolExpr,
     Gesture,
     Literal,
@@ -163,18 +170,22 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
 
 
 class ScenarioState:
-    """Consumption cursors over an immutable Scenario, `steps_taken` being the
-    gesture cursor too, and the `_plan` of each screen the run has visited."""
+    """One run's consumption cursors over an immutable Scenario, `steps_taken`
+    being the gesture cursor too, and the compiled plan of each screen the run
+    has visited, built on its first visit (`_compile_screen`)."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self.gestures = scenario.gestures
+        self.stop_after = inf if scenario.stop_after is None else scenario.stop_after
         self.op_ordinal: dict[str, int] = {}
         self.results_by_name: dict[str, list] = {}  # scripted results, in order
         for name, res in scenario.op_results:
             self.results_by_name.setdefault(name, []).append(res)
         self.steps_taken = 0
         self.uri_env = dict(scenario.uri_env)
-        self.plans: dict[str, tuple] = {}  # screen name -> its `_plan`
+        self.plans: dict[str, tuple] = {}  # screen name -> its `_compile_screen` plan
+        self.store: dict[QualifiedId, Value] = {}  # the current step's store, which every plan reads
 
     def next_result(self, name: str) -> tuple[int, Optional[Union[str, bool]]]:
         """Next scripted result for an operation, with its 1-based ordinal."""
@@ -192,58 +203,113 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Value resolution and operation evaluation, against the current screen's store
+# Compilation: each screen a run visits becomes closures over the run's store
+#
+# A value compiles to a callable that reads `state.store` and returns the
+# value's Value, or None where a name is undefined; a literal compiles to its
+# constant Value.  A guard compiles to a callable that returns a bool.
+# Everything a node decides by itself (its kind, an operation's capability
+# verdict and source taint, a name's env default) is settled here, once per run
+# and use, so that evaluation reads no model record and dispatches on no type.
+
+_new = tuple.__new__  # a record from all its fields, in order, at under half the cost of calling its class
+_UNTAINTED = frozenset()
 
 
-def resolve_value(
-    model: AppModel, screen: Screen, binding: ValueBinding, sigma: dict, state: ScenarioState
-) -> Optional[Value]:
+def _compile_value(model: AppModel, screen: Screen, binding: ValueBinding, state: ScenarioState):
     if isinstance(binding, Literal):
         return Value(binding.text)
     if isinstance(binding, Ref):
-        q = QualifiedId(binding.name, screen.name)
-        v = sigma.get(q)
-        if v is not None:
-            return v
-        env = state.uri_env.get(binding.name)
-        if env is not None and binding.name in screen.all_params:
-            return Value(env, frozenset({q}))
-        return None
-    return eval_operation(model, screen, binding, sigma, state)
+        name, store = binding.name, state.store
+        q = QualifiedId(name, screen.name)
+        # a parameter that the store lacks takes its env value; a widget never does
+        env = state.uri_env.get(name) if name in screen.all_params else None
+        default = None if env is None else Value(env, frozenset({q}))
+        return lambda: store.get(q, default)
+    return _compile_operation(model, screen, binding, state)
 
 
-def eval_operation(
-    model: AppModel, screen: Screen, op: OperationUse, sigma: dict, state: ScenarioState, as_bool: bool = False
-) -> Value:
-    cap = op.capability
+def _compile_operation(model: AppModel, screen: Screen, op: OperationUse, state: ScenarioState, as_bool=False):
+    """The operation's evaluation, with its capability verdict, source taint and
+    arguments settled; each evaluation takes the operation's next scripted result,
+    and an unscripted one is `true` in a guard and `<name#ordinal>` in a value."""
+    name, cap = op.name, op.capability
     if cap is not None and builtin_cap(cap) is None and model.resource(cap[0]) is None:
-        raise ScenarioError(f"operation '{op.name}' uses capability {cap[0]}.{cap[1]} not available to this app")
-    taint: set[QualifiedId] = set()
-    for a in op.args:
-        v = resolve_value(model, screen, a.value, sigma, state)
-        if v is not None:
-            taint |= v.taint
-    if _op_source_untrusted(model, op):
-        taint.add(QualifiedId(op.name, OPERATION))
-    ordinal, res = state.next_result(op.name)
-    if res is None:
-        res = True if as_bool else f"<{op.name}#{ordinal}>"
-    payload = ("true" if res else "false") if isinstance(res, bool) else res
-    return Value(payload, frozenset(taint))
+        error = f"operation '{name}' uses capability {cap[0]}.{cap[1]} not available to this app"
+
+        def unavailable():  # raised before any argument is evaluated, on each evaluation
+            raise ScenarioError(error)
+
+        return unavailable
+    # a literal argument adds no taint and takes no result, so only the others run
+    compiled = (_compile_value(model, screen, a.value, state) for a in op.args)
+    args = tuple(c for c in compiled if callable(c))
+    source = frozenset({QualifiedId(name, OPERATION)}) if _op_source_untrusted(model, op) else _UNTAINTED
+    next_result = state.next_result
+
+    if as_bool:
+        def holds() -> bool:
+            for arg in args:
+                arg()
+            res = next_result(name)[1]
+            return res is None or res is True or res == "true"
+
+        return holds
+
+    def evaluate() -> Value:
+        taint = source
+        for arg in args:
+            v = arg()
+            if v is not None:
+                taint = taint | v[1]
+        ordinal, res = next_result(name)
+        if res is None:
+            res = f"<{name}#{ordinal}>"
+        elif res is True:
+            res = "true"
+        elif res is False:
+            res = "false"
+        return _new(Value, (res, taint))
+
+    return evaluate
 
 
-def eval_bool(model: AppModel, screen: Screen, expr: BoolExpr, sigma: dict, state: ScenarioState) -> bool:
+def _compile_guard(model: AppModel, screen: Screen, expr: BoolExpr, state: ScenarioState):
     if isinstance(expr, BConst):
-        return expr.value
+        value = expr.value
+        return lambda: value
     if isinstance(expr, BOp):
-        return eval_operation(model, screen, expr.op, sigma, state, as_bool=True).payload == "true"
+        return _compile_operation(model, screen, expr.op, state, as_bool=True)
+    if isinstance(expr, BNot):
+        inner = _compile_guard(model, screen, expr.inner, state)
+        return lambda: not inner()
+    left = _compile_guard(model, screen, expr.left, state)
+    right = _compile_guard(model, screen, expr.right, state)
+    # left to right, short-circuit: the right operand's operations keep their
+    # ordinals unconsumed when the left already decides
     if isinstance(expr, BAnd):
-        # left-to-right, short-circuit: the right operand's operations keep
-        # their ordinals unconsumed when the left already decides
-        return eval_bool(model, screen, expr.left, sigma, state) and eval_bool(model, screen, expr.right, sigma, state)
-    if isinstance(expr, BOr):
-        return eval_bool(model, screen, expr.left, sigma, state) or eval_bool(model, screen, expr.right, sigma, state)
-    return not eval_bool(model, screen, expr.inner, sigma, state)  # BNot
+        return lambda: left() and right()
+    return lambda: left() or right()  # BOr
+
+
+def _holding(compiled, holder: QualifiedId):
+    """A callable that stores the compiled value in the dict it is given, under
+    holder and with holder added to its taint; an undefined value stores nothing."""
+    own = frozenset({holder})
+    if not callable(compiled):
+        stored = Value(compiled.payload, own)
+
+        def hold_constant(into: dict):
+            into[holder] = stored
+
+        return hold_constant
+
+    def hold(into: dict):
+        v = compiled()
+        if v is not None:
+            into[holder] = _new(Value, (v[0], v[1] | own))
+
+    return hold
 
 
 # ---------------------------------------------------------------------------
@@ -266,52 +332,55 @@ def init_app(model: AppModel, scenario: Scenario) -> Configuration:
     raise ScenarioError(f"no screen exports URI '{scenario.launch_uri}'")
 
 
-def _plan(model: AppModel, screen: Screen) -> tuple:
-    """What `step` reads of a screen: the screen, each widget's value and holder,
-    and per transition, in the order tried, its action, guard, destination,
-    whether that is a proxy, and each binding's value and target."""
-    widgets = tuple((w.value, QualifiedId(w.id, screen.name)) for w in screen.widgets)
-    transitions = tuple((t.user_action, t.guard, t.dest, model.proxy(t.dest) is not None,
-                         tuple((b.value, QualifiedId(b.target, t.dest)) for b in t.bindings))
-                        for t in screen.ordered_transitions)
-    return screen, widgets, transitions
+def _compile_screen(model: AppModel, screen: Screen, state: ScenarioState) -> tuple:
+    """What `step` runs of a screen: each widget's `_holding` callable, in order,
+    the widgets' holders, and per transition, in the order tried, its action, its
+    compiled guard or None, its destination, whether that is a proxy, and each
+    binding's `_holding` callable."""
+    holders = tuple(QualifiedId(w.id, screen.name) for w in screen.widgets)
+    widgets = tuple(_holding(_compile_value(model, screen, w.value, state), holder)
+                    for w, holder in zip(screen.widgets, holders))
+    transitions = tuple(
+        (t.user_action, None if t.guard is None else _compile_guard(model, screen, t.guard, state), t.dest,
+         model.proxy(t.dest) is not None,
+         tuple(_holding(_compile_value(model, screen, b.value, state), QualifiedId(b.target, t.dest))
+               for b in t.bindings))
+        for t in screen.ordered_transitions)
+    return widgets, holders, transitions
 
 
 def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[Configuration, str, list[tuple]]:
     """One small step from a configuration that is not terminal.  Returns
     (configuration, rule name, events)."""
     state.steps_taken = n = state.steps_taken + 1
-    scenario = state.scenario
-    if scenario.stop_after is not None and n >= scenario.stop_after:
+    if n >= state.stop_after:
         return TERMINAL, "stop", []
 
-    name = config.current
+    name, sigma = config
     plan = state.plans.get(name)
     if plan is None:
-        plan = state.plans[name] = _plan(model, model.screen(name))
-    screen, widgets, transitions = plan
-    sigma = dict(config.sigma)
+        plan = state.plans[name] = _compile_screen(model, model.screen(name), state)
+    widgets, holders, transitions = plan
+    store = state.store  # what the plan reads
+    store.clear()
+    store.update(sigma)
 
     # widget extension: (re)bind every widget of the current screen, in order
-    for value, holder in widgets:
-        v = resolve_value(model, screen, value, sigma, state)
-        if v is not None:
-            sigma[holder] = Value(v.payload, v.taint | {holder})
+    for hold in widgets:
+        hold(store)
 
-    gestures = scenario.gestures
+    gestures = state.gestures
     gesture = gestures[n - 1] if n <= len(gestures) else None
     for action, guard, dest, to_proxy, bindings in transitions:  # the first whose action occurred and guard holds fires
-        if action in (None, gesture) and (guard is None or eval_bool(model, screen, guard, sigma, state)):
+        if action in (None, gesture) and (guard is None or guard()):
             break
     else:
-        return Configuration(name, sigma), "no-transition", []
+        return _new(Configuration, (name, dict(store))), "no-transition", []
 
     # compute destination bindings against the pre-transition store
     bound: dict[QualifiedId, Value] = {}
-    for value, target in bindings:
-        v = resolve_value(model, screen, value, sigma, state)
-        if v is not None:
-            bound[target] = Value(v.payload, v.taint | {target})
+    for hold in bindings:
+        hold(bound)
 
     if to_proxy:
         # leaving the app: hand the outbound values to the external screen
@@ -320,12 +389,13 @@ def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[
 
     if dest == name:
         # self-transition: parameters survive, widget entries are cleared
-        for _, holder in widgets:
+        sigma = dict(store)
+        for holder in holders:
             sigma.pop(holder, None)
         sigma.update(bound)
-        return Configuration(name, sigma), "self-transition", []
+        return _new(Configuration, (name, sigma)), "self-transition", []
 
-    return Configuration(dest, bound), "transition", []
+    return _new(Configuration, (dest, bound)), "transition", []
 
 
 def run(model: AppModel, scenario: Scenario, step_budget: int) -> Trace:
@@ -333,13 +403,15 @@ def run(model: AppModel, scenario: Scenario, step_budget: int) -> Trace:
     trace = Trace()
     try:
         config = init_app(model, scenario)
-        trace.steps.append(("init", config))
+        steps, events = trace.steps, trace.events
+        steps.append(("init", config))
         for _ in range(step_budget):
-            if config.terminal:
+            if config[0] is None:  # terminal
                 break
-            config, rule, events = step(model, config, state)
-            trace.steps.append((rule, config))
-            trace.events.extend(events)
+            config, rule, new_events = step(model, config, state)
+            steps.append((rule, config))
+            if new_events:
+                events += new_events
     except ScenarioError as e:
         trace.error = str(e)
     return trace

@@ -5,8 +5,8 @@ from conftest import FIXTURES, parse_text, taint_pairs
 
 from modelgen import gen_model, gen_scenario
 from sbc import infoflow, interp
-from sbc.interp import Scenario, ScenarioState
-from sbc.model import Gesture, OPERATION, qualify
+from sbc.interp import Scenario, ScenarioState, Value
+from sbc.model import OPERATION, Arg, BAnd, BConst, BNot, BOp, BOr, Gesture, Literal, OperationUse, Ref, qualify
 
 
 def q(s):
@@ -207,63 +207,111 @@ class TestStep:
 
 
 class TestEval:
-    # the evaluators read a screen and its store; a plain launch's store is empty
+    # each node compiles once per run against a screen and the run's state; the
+    # compiled form reads the run's store, which starts empty
     def test_and_const(self, messenger):
-        from sbc.model import BAnd, BConst
         state = ScenarioState(Scenario())
-        screen = messenger.screen("Messenger")
-        assert interp.eval_bool(messenger, screen, BAnd(BConst(True), BConst(False)), {}, state) is False
+        guard = interp._compile_guard(messenger, messenger.screen("Messenger"), BAnd(BConst(True), BConst(False)), state)
+        assert guard() is False
 
     def test_not_scripted_false(self, messenger):
-        from sbc.model import BNot, BOp, OperationUse
         state = ScenarioState(Scenario(op_results=(("f", False),)))
-        screen = messenger.screen("Messenger")
-        assert interp.eval_bool(messenger, screen, BNot(BOp(OperationUse("f", None))), {}, state) is True
+        guard = interp._compile_guard(messenger, messenger.screen("Messenger"), BNot(BOp(OperationUse("f", None))), state)
+        assert guard() is True
 
     def test_or_short_circuit_preserves_ordinals(self, messenger):
-        from sbc.model import BOp, BOr, OperationUse
-        state = ScenarioState(Scenario(op_results=(("f", True), ("g", False))))
+        state = ScenarioState(Scenario(op_results=(("f", True), ("g", False), ("f", False))))
         expr = BOr(BOp(OperationUse("f", None)), BOp(OperationUse("g", None)))
-        assert interp.eval_bool(messenger, messenger.screen("Messenger"), expr, {}, state) is True
+        guard = interp._compile_guard(messenger, messenger.screen("Messenger"), expr, state)
+        assert guard() is True
         assert "g" not in state.op_ordinal  # right operand never evaluated
+        assert guard() is False and state.op_ordinal == {"f": 2, "g": 1}  # f false: g decides
+
+    def test_and_short_circuit_preserves_ordinals(self, messenger):
+        state = ScenarioState(Scenario(op_results=(("f", False),)))
+        expr = BAnd(BOp(OperationUse("f", None)), BOp(OperationUse("g", None)))
+        assert interp._compile_guard(messenger, messenger.screen("Messenger"), expr, state)() is False
+        assert "g" not in state.op_ordinal
 
     def test_default_results(self, messenger):
-        from sbc.model import OperationUse
         state = ScenarioState(Scenario())
-        v = interp.eval_operation(messenger, messenger.screen("Messenger"), OperationUse("mystery", None), {}, state)
-        assert v.payload == "<mystery#1>"
+        value = interp._compile_value(messenger, messenger.screen("Messenger"), OperationUse("mystery", None), state)
+        assert [value().payload, value().payload] == ["<mystery#1>", "<mystery#2>"]
+
+    def test_unscripted_guard_defaults_to_true(self, messenger):
+        state = ScenarioState(Scenario(op_results=(("f", "true"), ("f", "no"))))
+        guard = interp._compile_guard(messenger, messenger.screen("Messenger"), BOp(OperationUse("f", None)), state)
+        assert [guard(), guard(), guard()] == [True, False, True]  # the string "true" holds too
 
     def test_untrusted_source_taints_result(self, messenger):
-        from sbc.model import OperationUse
         state = ScenarioState(Scenario())
         screen = messenger.screen("Messenger")
-        v = interp.eval_operation(messenger, screen, OperationUse("pull", ("EXT_STORE", "read")), {}, state)
+        v = interp._compile_value(messenger, screen, OperationUse("pull", ("EXT_STORE", "read")), state)()
         assert q("pull") in v.taint
 
+    def test_argument_taint_reaches_result(self, messenger):
+        state = ScenarioState(Scenario(op_results=(("f", "r"),)))
+        op = OperationUse("f", None, (Arg(False, Ref("Phone")), Arg(False, Literal("x"))))
+        value = interp._compile_value(messenger, messenger.screen("Contacts"), op, state)
+        state.store[q("Phone@Contacts")] = Value("1", frozenset({q("y@Contacts"), q("Phone@Contacts")}))
+        v = value()
+        assert v == Value("r", frozenset({q("y@Contacts"), q("Phone@Contacts")}))
+
     def test_foreign_capability_rejected_at_runtime(self, messenger):
-        from sbc.model import OperationUse
         state = ScenarioState(Scenario())
         screen = messenger.screen("Messenger")
+        op = OperationUse("f", ("OTHER", "cap"), (Arg(False, OperationUse("g", None)),))
+        value = interp._compile_value(messenger, screen, op, state)  # compiling does not raise
+        with pytest.raises(interp.ScenarioError) as e:
+            value()
+        assert str(e.value) == "operation 'f' uses capability OTHER.cap not available to this app"
+        assert state.op_ordinal == {}  # raised before the argument was evaluated
         with pytest.raises(interp.ScenarioError):
-            interp.eval_operation(messenger, screen, OperationUse("f", ("OTHER", "cap")), {}, state)
+            interp._compile_guard(messenger, screen, BOp(op), state)()
 
     def test_resolve_uri_env_fallback(self, messenger):
-        from sbc.model import Ref
         state = ScenarioState(Scenario(uri_env=(("y", "q"),)))
-        v = interp.resolve_value(messenger, messenger.screen("Contacts"), Ref("y"), {}, state)
+        value = interp._compile_value(messenger, messenger.screen("Contacts"), Ref("y"), state)
+        v = value()
         assert v.payload == "q" and v.taint == {q("y@Contacts")}
+        state.store[q("y@Contacts")] = stored = Value("s", frozenset())
+        assert value() is stored  # the store wins over the env
 
     def test_resolve_missing_widget_undefined(self, messenger):
-        from sbc.model import Ref
         # Phone is a widget of Contacts, so the URI environment never supplies it
         state = ScenarioState(Scenario(uri_env=(("Phone", "q"),)))
-        assert interp.resolve_value(messenger, messenger.screen("Contacts"), Ref("Phone"), {}, state) is None
+        assert interp._compile_value(messenger, messenger.screen("Contacts"), Ref("Phone"), state)() is None
 
     def test_resolve_literal(self, messenger):
-        from sbc.model import Literal
+        # a literal compiles to its constant value
         state = ScenarioState(Scenario())
-        v = interp.resolve_value(messenger, messenger.screen("Messenger"), Literal("hi"), {}, state)
+        v = interp._compile_value(messenger, messenger.screen("Messenger"), Literal("hi"), state)
         assert v.payload == "hi" and v.taint == frozenset()
+
+    def test_source_trust_is_settled_once_per_use(self, messenger, monkeypatch):
+        calls, evaluations = [], []
+        original, next_result = interp._op_source_untrusted, ScenarioState.next_result
+
+        def counted(model, op):
+            calls.append(op.name)
+            return original(model, op)
+
+        def taken(state, name):  # one scripted result per evaluation
+            evaluations.append(name)
+            return next_result(state, name)
+
+        monkeypatch.setattr(interp, "_op_source_untrusted", counted)
+        monkeypatch.setattr(ScenarioState, "next_result", taken)
+        sc = interp.parse_scenario("launch\nclick Send\nop sendMsg -> false\nclick Send\nop sendMsg -> false\n"
+                                   "click Add\nclick Save\nop savePhone -> true\n")
+        t = interp.run(messenger, sc, step_budget=6)
+        assert t.error is None
+        stepped = {c.current for (_, c), (rule, _) in zip(t.steps, t.steps[1:]) if rule != "stop"}
+        assert stepped == {"Messenger", "Contacts", "SaveStatus"}
+        # sendMsg and getContacts ran twice, savePhone once and dispMsg twice:
+        # seven evaluations of the four uses on the screens the run stepped from
+        assert sorted(calls) == sorted(op.name for s, op in messenger.operations if s.name in stepped)
+        assert len(calls) == 4 and len(evaluations) == 7
 
 
 class TestRun:
