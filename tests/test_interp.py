@@ -1,5 +1,8 @@
 """Scenario parsing and the small-step interpreter."""
 
+import random
+import re
+
 import pytest
 from conftest import FIXTURES, parse_text, taint_pairs
 
@@ -104,6 +107,88 @@ class TestScenarioParse:
     def test_unclosed_quote_is_located(self, line):
         with pytest.raises(interp.ScenarioError, match=r"^run\.scn:2: No closing quotation$"):
             interp.parse_scenario(f"click Save\n{line}\n", "run.scn")
+
+
+# The reference reader: the scenario grammar's words as one regular expression
+# over each "\n" line, with no fast path and no memo.  A quoted run's body is
+# written as an alternation here, not unrolled as in `interp`.
+REF_WORD = re.compile(r'(?:[^ \t"#]|"(?:[^"\\]|\\.)*")+|#.*|"')
+REF_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+# Pieces of random `op` lines: plain words, quoted runs holding blanks, tabs,
+# `#`, escaped quotes and backslashes, lone quotes and backslashes, comments,
+# and characters that `str.split()` splits on or that turn the fast path off.
+PIECES = ["op", "f", "g1", "->", "-", ">", "true", "false", '"', '\\', '\\\\', '\\"', "#", "# c", '"a"', '""',
+          '"a b"', '"a\tb"', '"#"', '"a#b"', '"\\""', '"\\\\"', '"a\\"b"', '"x', 'y"', "\x0c", "\x0b", "\x1f",
+          "é", "\u2028"]
+
+
+def reference_op_line(line):
+    """What the reference reads from one `op` line: (name, result), or the
+    error message."""
+    words = REF_WORD.findall(line)
+    if words and words[-1][0] == "#":
+        words.pop()
+    if '"' in words:
+        return "No closing quotation"
+    if len(words) != 4 or words[0] != "op" or words[2] != "->":
+        return 'expected: op <name> -> "<string>"|true|false'
+    res = words[3]
+    if res in ("true", "false"):
+        return words[1], res == "true"
+    m = REF_STRING.fullmatch(res)
+    if not m:
+        return f"bad operation result {res!r}"
+    return words[1], m[1].replace('\\"', '"').replace("\\\\", "\\")
+
+
+def random_op_line(rng, heads=None):
+    """A random `op` line; its first three parts come from heads when given, so
+    that lines of one text differ in their results alone."""
+    def blank():
+        return rng.choice([" ", "\t", "  ", " \t"])
+
+    def run():
+        return "".join(rng.choice(PIECES) for _ in range(rng.choice([1, 1, 1, 2, 3])))
+
+    head = rng.choice(heads) if heads else ["op", run(), "->" if rng.random() < 0.8 else run()]
+    parts = [*head, run() if rng.random() < 0.5 else '"' + run() + '"']
+    if rng.random() < 0.2:
+        parts.append(rng.choice(["# note", '# "', "#"]))
+    return rng.choice(["", " "]) + "".join(p + blank() for p in parts[:-1]) + parts[-1]
+
+
+class TestScenarioReader:
+    def test_reader_agrees_with_the_reference_on_random_lines(self):
+        rng = random.Random(18)
+        for _ in range(400):
+            heads = [["op", rng.choice(["f", "g1", "f g"]), "->"] for _ in range(2)] if rng.random() < 0.5 else None
+            lines = [random_op_line(rng, heads) for _ in range(rng.randint(1, 6))]
+            lines += rng.sample(lines, rng.randint(0, len(lines)))  # repeated lines are read once
+            if rng.random() < 0.3:  # one non-ASCII line turns the fast path off for the whole text
+                lines.insert(rng.randrange(len(lines) + 1), "# é")
+            text = "\n".join(lines) + "\n"
+            expected = [reference_op_line(line) if line != "# é" else None for line in lines]
+            bad = [(i, e) for i, e in enumerate(expected, 1) if isinstance(e, str)]
+            if bad:
+                lineno, message = bad[0]
+                with pytest.raises(interp.ScenarioError) as e:
+                    interp.parse_scenario(text, "r.scn")
+                assert str(e.value) == f"r.scn:{lineno}: {message}", repr(text)
+            else:
+                got = interp.parse_scenario(text, "r.scn").op_results
+                assert got == tuple(e for e in expected if e is not None), repr(text)
+
+    def test_each_line_alone_agrees_with_the_reference(self):
+        rng = random.Random(19)
+        for _ in range(3000):
+            line = random_op_line(rng)
+            expected = reference_op_line(line)
+            try:
+                got = interp.parse_scenario(line, "r.scn").op_results[0]
+            except interp.ScenarioError as e:
+                got = str(e).removeprefix("r.scn:1: ")
+            assert got == expected, repr(line)
 
 
 class TestInit:
