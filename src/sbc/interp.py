@@ -427,15 +427,13 @@ def run(model: AppModel, scenario: Scenario, step_budget: int) -> Trace:
     trace = Trace()
     try:
         config = init_app(model, scenario)
-        steps, events = trace.steps, trace.events
-        steps.append(("init", config))
+        trace.steps.append(("init", config))
         for _ in range(step_budget):
-            if config[0] is None:  # terminal
+            if config.terminal:
                 break
-            config, rule, new_events = step(model, config, state)
-            steps.append((rule, config))
-            if new_events:
-                events += new_events
+            config, rule, events = step(model, config, state)
+            trace.steps.append((rule, config))
+            trace.events.extend(events)
     except ScenarioError as e:
         trace.error = str(e)
     return trace
