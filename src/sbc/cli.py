@@ -162,8 +162,23 @@ def _cmd_analyze(args) -> int:
     return _per_file(args, one)
 
 
-def _store_text(values: dict, names: _Names) -> str:
-    return ", ".join(names[k] + repr(v.payload) for k, v in sorted(values.items()))
+def _trace_lines(trace: interp.Trace) -> list[str]:
+    """The trace as text: a line per step, with its store sorted by name, then a
+    line per proxy exit."""
+    names = _Names(lambda q: f"{q}=")
+    orders: dict[tuple, list] = {}  # a store's names, as inserted -> sorted; a run holds few such sets
+
+    def store_text(values: dict) -> str:
+        keys = tuple(values)
+        order = orders.get(keys)
+        if order is None:
+            order = orders[keys] = sorted(keys)
+        return ", ".join([names[k] + repr(values[k][0]) for k in order])
+
+    lines = [f"{rule}: <terminal>" if current is None else f"{rule}: {current} [{store_text(sigma)}]"
+             for rule, (current, sigma) in trace.steps]
+    lines += [f"proxy-exit {ev[1]} [{store_text(ev[2])}]" for ev in trace.events if ev[0] == "proxy-exit"]
+    return lines
 
 
 def _cmd_simulate(args) -> int:
@@ -184,10 +199,7 @@ def _cmd_simulate(args) -> int:
         if model is None or any(d.code.startswith("WF") for d in findings):
             return code
         trace = interp.run(model, scenario, step_budget=args.budget or len(scenario.gestures) + 3)
-        names = _Names(lambda q: f"{q}=")
-        lines = [f"{rule}: <terminal>" if c.terminal else f"{rule}: {c.current} [{_store_text(c.sigma, names)}]"
-                 for rule, c in trace.steps]
-        lines += [f"proxy-exit {ev[1]} [{_store_text(ev[2], names)}]" for ev in trace.events if ev[0] == "proxy-exit"]
+        lines = _trace_lines(trace)
         if lines:
             lines.append("")  # the last line's newline
             sys.stdout.write("\n".join(lines))
