@@ -1,6 +1,6 @@
-"""Nothing in the package exists only for tests: every top-level function,
-class and assigned name of `src/sbc` (dunders aside) is used by the package
-itself or by the benchmark.  Every
+"""Nothing in the package exists only for tests: every top-level function and
+class of `src/sbc` is used by the package itself, and every other top-level
+assigned name (dunders aside) by the package or by the benchmark.  Every
 parameter of a function in `src/sbc` is read in its body.  And every name
 that a module of `src/sbc` or of `tests/` imports is used in it."""
 
@@ -11,6 +11,10 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "sbc"
 TESTS = ROOT / "tests"
 ENTRY_POINTS = {("cli", "main")}  # pyproject's console script
+# Functions and classes that only the benchmark calls, each with its reason.
+BENCHMARK_ONLY = {
+    ("infoflow", "closure"): "perfbench's tracer wraps it and reports its pairs until it moves to tests/",
+}
 
 
 def _names(tree) -> set[str]:
@@ -18,20 +22,16 @@ def _names(tree) -> set[str]:
             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_definition_has_a_user_outside_tests():
-    used: set[str] = set()
-    for path in sorted(ROOT.glob("perfbench/*.py")):
-        if not path.name.startswith("test_"):
-            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-            used |= _names(tree)  # the tracer names what it wraps in strings
-            used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-
-    definitions = []
+def _definitions() -> tuple[list[tuple[str, str, bool]], set[str]]:
+    """(module, name, whether it is a function or class) of every top-level
+    definition of `src/sbc`, and the names the package uses."""
+    definitions, used = [], set()
     sources = sorted(SRC.glob("*.py"))
     assert sources
     for path in sources:
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            code = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if code:
                 defined = {stmt.name}
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -39,9 +39,26 @@ def test_every_definition_has_a_user_outside_tests():
                 defined = {n for n in defined if not (n.startswith("__") and n.endswith("__"))}
             else:
                 defined = set()
-            definitions += [(path.stem, name) for name in sorted(defined)]
+            definitions += [(path.stem, name, code) for name in sorted(defined)]
             used |= _names(stmt) - defined  # a recursive call is no use
-    assert [f"{m}.{name}" for m, name in definitions if name not in used and (m, name) not in ENTRY_POINTS] == []
+    return definitions, used
+
+
+def test_every_function_and_class_has_a_user_in_the_package():
+    definitions, used = _definitions()
+    unused = {(m, name) for m, name, code in definitions if code and name not in used} - ENTRY_POINTS
+    assert sorted(f"{m}.{name}" for m, name in unused - set(BENCHMARK_ONLY)) == []
+    assert unused >= set(BENCHMARK_ONLY), "an exemption that is no longer needed"
+
+
+def test_every_definition_has_a_user_outside_tests():
+    definitions, used = _definitions()
+    for path in sorted(ROOT.glob("perfbench/*.py")):
+        if not path.name.startswith("test_"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            used |= _names(tree)  # the tracer names what it wraps in strings
+            used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert [f"{m}.{name}" for m, name, _ in definitions if name not in used and (m, name) not in ENTRY_POINTS] == []
 
 
 def test_every_parameter_is_read():
