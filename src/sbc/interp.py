@@ -60,7 +60,7 @@ from .model import (
     builtin_cap,
     parse_uri,
 )
-from .syntax import GESTURES, _unescape
+from .syntax import GESTURES, _new, _unescape
 
 
 class ScenarioError(Exception):
@@ -236,7 +236,6 @@ class Trace:
 # verdict and source taint, a name's env default) is settled here, once per run
 # and use, so that evaluation reads no model record and dispatches on no type.
 
-_new = tuple.__new__  # a record from all its fields, in order, at under half the cost of calling its class
 _UNTAINTED = frozenset()
 
 
