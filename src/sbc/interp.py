@@ -236,8 +236,6 @@ class Trace:
 # verdict and source taint, a name's env default) is settled here, once per run
 # and use, so that evaluation reads no model record and dispatches on no type.
 
-_UNTAINTED = frozenset()
-
 
 def _compile_value(model: AppModel, screen: Screen, binding: ValueBinding, state: ScenarioState):
     if isinstance(binding, Literal):
@@ -267,7 +265,7 @@ def _compile_operation(model: AppModel, screen: Screen, op: OperationUse, state:
     # a literal argument adds no taint and takes no result, so only the others run
     compiled = (_compile_value(model, screen, a.value, state) for a in op.args)
     args = tuple(c for c in compiled if callable(c))
-    source = frozenset({QualifiedId(name, OPERATION)}) if _op_source_untrusted(model, op) else _UNTAINTED
+    source = frozenset({QualifiedId(name, OPERATION)}) if _op_source_untrusted(model, op) else frozenset()
     next_result = state.next_result
 
     if as_bool:
