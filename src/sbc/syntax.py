@@ -35,6 +35,16 @@ its kind: a letter or `_` starts an IDENT, a digit an INT, `"` a STRING
 character is punctuation.  The end of the input is "".  The lexer keeps each
 token's offset; a line and a column are worked out only for the spans the
 parser keeps and for diagnostics.
+
+Both halves are shaped by the cost per token, since `check` and `fmt` read
+whole storyboards while they are drawn.  The lexer is one `re.split`, whose
+skip group reads a run of blanks before it tries a comment, an unterminated
+string or a bad character (see `_TOKEN`).  The parser reads the common heads
+(a widget's `safe? KIND ID =`, a transition's `transition ID order INT dest
+ID`, a gesture `ID . GESTURE`, `use R . C` and a binding's `param ID =`) with
+one test of the whole head on the token list.  When the test fails, the
+checked calls read the head again from the same token, so every diagnostic
+still comes from them.
 """
 
 from __future__ import annotations
@@ -104,16 +114,23 @@ class ParseOutcome(NamedTuple):
 # may not precede " or \, so a string splits into its parts one way only and
 # a failed match backtracks in linear time.
 _STRING = r'"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*'  # up to the closing quote
-_BLANK = r"[ \t\r\n]+|\#[^\n]*"  # blanks and comments
+_BLANKS = r"[ \t\r\n]*"
 _BAD = r'[^ \t\r\n\#"A-Za-z0-9_{}()\[\]=,.]'  # a character that starts no token
 _WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
 # split() gives, per token, the unmatched text (always empty), the skipped
 # text and the token.  What is skipped is never a token: blanks, comments and
 # the errors that _ERRORS reports, an unterminated string being one that a
-# newline or the end follows.  The token group ends with \Z, so the end of the
-# input is the token "" and no match fails, which would retry trailing blanks
-# from every position.
-_TOKEN = re.compile(rf"((?:{_BLANK}|{_STRING}(?![^\n])|{_BAD})*)({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
+# newline or the end follows.  Nearly every skip is one run of blanks, so the
+# skip group reads a blank run first, outside its loop of alternatives, and
+# then the rare skips (a comment, an unterminated string, a character that
+# starts no token), each followed by its own blank run.  Python 3.10 has no
+# atomic group, so a terminated string is still read twice: the rare skip
+# reads it as an unterminated one and gives it up at its closing quote.  The
+# token group ends with \Z, so the end of the input is the token "" and no
+# match fails, which would retry trailing blanks from every position.
+_TOKEN = re.compile(rf"({_BLANKS}(?:(?:\#[^\n]*|{_STRING}(?![^\n])|{_BAD}){_BLANKS})*)"
+                    rf"({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
+_ONLY_BLANKS = re.compile(_BLANKS)
 # The errors in the joined skipped text, where a comment or an unterminated
 # string still ends at the newline, or the end, that is skipped with it, and a
 # run of characters that start no token may join the runs of two skips.
@@ -131,13 +148,13 @@ def _unquote(tok: str) -> str:
 
 
 def _line_starts(text: str) -> list[int]:
-    """The offset of each line after the first, then one past the end."""
-    return list(accumulate(map((1).__add__, map(len, text.split("\n")))))
+    """The offset of each line, then one past the end."""
+    return list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
 
 
 def _span(file: str, starts: list[int], offset: int, length: int) -> SourceSpan:
     line = bisect_right(starts, offset)
-    return _new(SourceSpan, (file, line + 1, offset - (starts[line - 1] if line else 0) + 1, length))
+    return _new(SourceSpan, (file, line, offset - starts[line - 1] + 1, length))
 
 
 def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
@@ -149,9 +166,13 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
     offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))
     if len(toks) > 1 and not toks[-2]:  # skipped text ran to the end, then the end matched again
         del toks[-1], offsets[-1]
+    skipped = parts[1::3]  # skipped[k] ends where token k starts
+    joined = "".join(skipped)
+    if _ONLY_BLANKS.fullmatch(joined):  # most texts skip blanks alone: no scan for errors
+        return toks, offsets, []
     diags: list[Diagnostic] = []
-    skipped, ends = parts[1::3], None  # skipped[k] ends where token k starts
-    for m in _ERRORS.finditer("".join(skipped)):
+    ends = None
+    for m in _ERRORS.finditer(joined):
         if g := m.lastindex:
             if ends is None:
                 ends, starts = list(accumulate(map(len, skipped))), _line_starts(text)
@@ -181,12 +202,17 @@ MAX_EXPRESSION_NODES = 100
 _ENDS = frozenset({"", "screen", "start", "proxy", "resource"})
 # the words that start a block item, where recovery inside a block also stops
 _RESUME = frozenset({"transition", "param", *KINDS})
+# The most tokens a fast path reads past the token it starts at (a transition
+# head's destination).  A fast path reads a whole common shape at once, and on
+# any mismatch the checked calls read it again from the same position, so that
+# every diagnostic comes from them.
+_LOOKAHEAD = 5
 
 
 class _Parser:
     def __init__(self, text: str, file: str, toks: list[str], offsets: list[int]):
         self.toks = toks
-        toks.append("")  # a second end, so that the token after the current one exists
+        toks += [""] * _LOOKAHEAD  # more ends, so that every token a fast path reads exists
         self.offsets = offsets
         self.text = text
         self.starts: Optional[list[int]] = None  # line starts, found for the first span
@@ -198,9 +224,12 @@ class _Parser:
     # -- token plumbing -----------------------------------------------------
 
     def span(self, i: int) -> SourceSpan:
-        if self.starts is None:
-            self.starts = _line_starts(self.text)
-        return _span(self.file, self.starts, self.offsets[i], len(self.toks[i]))
+        starts = self.starts
+        if starts is None:
+            starts = self.starts = _line_starts(self.text)
+        offset = self.offsets[i]  # _span inlined: the parser makes a span for every record
+        line = bisect_right(starts, offset)
+        return _new(SourceSpan, (self.file, line, offset - starts[line - 1] + 1, len(self.toks[i])))
 
     def at(self, text: str) -> bool:
         return self.toks[self.pos] == text
@@ -361,13 +390,21 @@ class _Parser:
         params: list[str] = []
         widgets: list[Widget] = []
         transitions: list[Transition] = []
-        errors = len(self.diags)
-        while not self.eat("}") and not self.unclosed(errors, "screen body item"):
-            item, errors = self.pos, len(self.diags)
+        toks, errors = self.toks, len(self.diags)
+        while True:
+            item = self.pos
+            t = toks[item]
+            if t == "}":
+                self.pos = item + 1
+                break
+            if t in _ENDS and self.unclosed(errors, "screen body item"):
+                break
+            errors = len(self.diags)
             try:
-                if self.eat("param"):
+                if t == "param":
+                    self.pos = item + 1
                     params.append(self.ident("parameter name"))
-                elif self.at("transition"):
+                elif t == "transition":
                     transitions.append(self.transition())
                 else:
                     widgets.append(self.widget())
@@ -376,11 +413,19 @@ class _Parser:
         return _new(Screen, (name, tuple(uris), tuple(params), tuple(widgets), tuple(transitions), self.span(i0)))
 
     def widget(self) -> Widget:
-        safe = self.eat("safe")
-        k = self.pos
-        kind = self.known(KINDS, "widget kind")
-        wid = self.ident("widget id")
-        self.expect("=")
+        toks, k = self.toks, self.pos
+        safe = toks[k] == "safe"
+        if safe:
+            k += 1
+        kind, wid = KINDS.get(toks[k]), toks[k + 1]
+        if kind is not None and wid[:1] in _IDENT_START and wid not in _ENDS and toks[k + 2] == "=":
+            self.pos = k + 3
+        else:
+            safe = self.eat("safe")
+            k = self.pos
+            kind = self.known(KINDS, "widget kind")
+            wid = self.ident("widget id")
+            self.expect("=")
         value = self.expression(self.value)
         attrs = self.attrs() if self.at("[") else ()
         # an attribute group after an opcall value binds to the opcall; lift
@@ -418,10 +463,18 @@ class _Parser:
                     break
         self.expect(")")
         capability = None
-        if self.eat("use"):
-            rn = self.ident("resource name")
-            self.expect(".")
-            capability = (rn, self.ident("capability name"))
+        toks, p = self.toks, self.pos
+        if toks[p] == "use":
+            rn, cn = toks[p + 1], toks[p + 3]
+            if rn[:1] in _IDENT_START and rn not in _ENDS and toks[p + 2] == "." and cn[:1] in _IDENT_START \
+                    and cn not in _ENDS:
+                self.pos = p + 4
+                capability = (rn, cn)
+            else:
+                self.pos = p + 1
+                rn = self.ident("resource name")
+                self.expect(".")
+                capability = (rn, self.ident("capability name"))
         attrs = self.attrs() if self.at("[") else ()
         return _new(OperationUse, (name, capability, tuple(args), attrs, self.span(i0)))
 
@@ -456,22 +509,34 @@ class _Parser:
         raise self.fail("expected an attribute value")
 
     def transition(self) -> Transition:
-        i0 = self.expect("transition")
-        tid = self.ident("transition id")
-        self.expect("order")
-        order = self.toks[self.pos]
-        if not order.isdigit():
-            raise self.fail("expected order index")
-        self.pos += 1
-        self.expect("dest")
-        dest = self.ident("destination name")
+        toks, i0 = self.toks, self.pos
+        tid, order, dest = toks[i0 + 1], toks[i0 + 3], toks[i0 + 5]
+        if toks[i0] == "transition" and tid[:1] in _IDENT_START and tid not in _ENDS and toks[i0 + 2] == "order" \
+                and order.isdigit() and toks[i0 + 4] == "dest" and dest[:1] in _IDENT_START and dest not in _ENDS:
+            self.pos = i0 + 6
+        else:
+            self.expect("transition")
+            tid = self.ident("transition id")
+            self.expect("order")
+            order = toks[self.pos]
+            if not order.isdigit():
+                raise self.fail("expected order index")
+            self.pos += 1
+            self.expect("dest")
+            dest = self.ident("destination name")
         ua = None
         guard = None
         if self.eat("cond"):
-            t = self.toks[self.pos]
-            if t[:1] in _IDENT_START and self.toks[self.pos + 1] == ".":
-                self.pos += 2
-                ua = (t, self.known(GESTURES, "gesture"))
+            p = self.pos
+            t = toks[p]
+            if t[:1] in _IDENT_START and toks[p + 1] == ".":
+                gesture = GESTURES.get(toks[p + 2])
+                if gesture is None:
+                    self.pos = p + 2
+                    gesture = self.known(GESTURES, "gesture")
+                else:
+                    self.pos = p + 3
+                ua = (t, gesture)
                 if self.eat("and"):
                     guard = self.expression(self.bexpr)
             else:
@@ -482,9 +547,14 @@ class _Parser:
             while not self.eat("}") and not self.unclosed(errors, "'param'"):
                 p0, errors = self.pos, len(self.diags)
                 try:
-                    self.expect("param")
-                    target = self.ident("parameter name")
-                    self.expect("=")
+                    target = toks[p0 + 1]
+                    if toks[p0] == "param" and target[:1] in _IDENT_START and target not in _ENDS \
+                            and toks[p0 + 2] == "=":
+                        self.pos = p0 + 3
+                    else:
+                        self.expect("param")
+                        target = self.ident("parameter name")
+                        self.expect("=")
                     safe = self.eat("safe")
                     bindings.append(_new(ParamBinding, (target, safe, self.expression(self.value), self.span(p0))))
                 except ParseError as e:

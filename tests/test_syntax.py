@@ -159,6 +159,20 @@ class TestParse:
         assert time.perf_counter() - t0 < 1
         assert [d.span.line for d in out.diagnostics] == list(range(4, 8001, 2)) + [8002]
 
+    @pytest.mark.parametrize("path", [FIXTURES / "messenger.sbd", Path(__file__).parent / "gate" / "guards.sbd"],
+                             ids=lambda p: p.stem)
+    def test_every_prefix_parses(self, path):
+        # A board cut before or after any token parses to a model or to
+        # diagnostics, never to an exception: the parser reads several tokens
+        # ahead of its position, also where the input ends.
+        text = path.read_text(encoding="utf-8")
+        toks, offsets, _ = syntax._lex(text, "t")
+        cuts = sorted({*offsets, *(o + len(t) for t, o in zip(toks, offsets))})
+        assert len(cuts) > 2 * 100
+        for cut in cuts:
+            out = syntax.parse(text[:cut], "t")
+            assert out.ok != bool(out.diagnostics), cut
+
     def test_spans_point_into_input(self):
         text = 'app "a" screen S { Foo x = "v" }'
         out = syntax.parse(text, "t")
@@ -301,6 +315,89 @@ class TestLex:
             "bad-runs-apart", "comment-at-eof", "blanks-at-eof", "punctuation"])
     def test_golden(self, text, tokens, diags):
         assert lex(text) == (tokens, diags)
+
+
+IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+NAME_CHARS = IDENT_START | set("0123456789-")
+STARTS = IDENT_START | set('0123456789 \t\r\n#"{}()[]=,.')  # of a token, a blank, a comment or a string
+
+
+def reference_lex(text):
+    """What _lex should give, read one character at a time: (token, offset)
+    pairs ending with ("", len(text)), and the PAR001 errors as (message,
+    offset, length)."""
+    tokens, errors, i, n = [], [], 0, len(text)
+    while i < n:
+        c, start = text[i], i
+        if c in " \t\r\n":
+            i += 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == '"':
+            i += 1
+            while i < n and text[i] not in '"\n':
+                i += 2 if text[i] == "\\" and text[i + 1:i + 2] in ('"', "\\") else 1
+            if i < n and text[i] == '"':
+                tokens.append((text[start:i + 1], start))
+                i += 1
+            else:
+                errors.append(("unterminated string literal", start, i - start))
+        elif c in IDENT_START:
+            while i < n and text[i] in NAME_CHARS:
+                i += 1
+            tokens.append((text[start:i], start))
+        elif "0" <= c <= "9":
+            while i < n and "0" <= text[i] <= "9":
+                i += 1
+            tokens.append((text[start:i], start))
+        elif c in "{}()[]=,.":
+            i += 1
+            tokens.append((c, start))
+        else:  # a run of characters that start no token
+            while i < n and text[i] not in STARTS:
+                i += 1
+            k = i - start
+            msg = f"unexpected character {c!r}" if k == 1 else f"{k} unexpected characters starting with {c!r}"
+            errors.append((msg, start, k))
+    return tokens + [("", n)], errors
+
+
+def line_and_column(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+# Pieces of the random texts: blanks, comments, strings terminated and not,
+# with escapes and lone backslashes, characters that start no token (ASCII and
+# not), digits, punctuation and keywords.
+LEX_PIECES = [" ", "  ", "\t", "\r", "\n", "\r\n", "#", "# c", '#"x', '"', '"a"', '"a b"', '""', '"\\"', '"\\\\"',
+              '"a\\"b"', '"\\q"', '"a\\', "\\", "\\\\", '\\"', "é", "²", "@", "@@", "-", "\v", "\f", "\x85", "\xa0",
+              "\u2028", "$", "0", "12", "12ab", "x", "a-b", "_", "screen", "Button", "param", "safe", *"{}()[]=,."]
+
+
+class TestLexProperties:
+    def test_matches_a_reference_tokenizer(self):
+        rng = random.Random(19)
+        for case in range(3000):
+            text = "".join(rng.choice(LEX_PIECES) for _ in range(rng.randint(0, 40)))
+            toks, offsets, diags = syntax._lex(text, "t")
+            want_tokens, want_errors = reference_lex(text)
+            assert list(zip(toks, offsets)) == want_tokens, (case, text)
+            assert [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags] == [
+                ("PAR001", msg, *line_and_column(text, o), k) for msg, o, k in want_errors], (case, text)
+
+    @pytest.mark.parametrize("text, tokens, errors", [
+        ('"\\' * 100_000, 1, [("unterminated string literal", 0, 200_000)]),
+        ('x "' + "a" * 100_000, 2, [("unterminated string literal", 2, 100_001)]),
+        ("@" * 100_000 + " x", 2, [("100000 unexpected characters starting with '@'", 0, 100_000)]),
+        ("# c\n" * 50_000 + "x", 2, []),
+    ], ids=["lone-quote-backslash-runs", "unterminated-string", "bad-characters", "comment-lines"])
+    def test_long_inputs_read_in_linear_time(self, text, tokens, errors):
+        t0 = time.perf_counter()
+        toks, _, diags = syntax._lex(text, "t")
+        assert time.perf_counter() - t0 < 1
+        assert len(toks) == tokens
+        assert [(d.message, d.span.column - 1, d.span.length) for d in diags] == errors
 
 
 class TestEofColumn:
