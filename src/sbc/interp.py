@@ -38,6 +38,7 @@ app after the preceding gestures have been processed.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from math import inf
 from typing import NamedTuple, Optional, Union
 
@@ -203,9 +204,9 @@ class ScenarioState:
         self.gestures = scenario.gestures
         self.stop_after = inf if scenario.stop_after is None else scenario.stop_after
         self.op_ordinal: dict[str, int] = {}
-        self.results_by_name: dict[str, list] = {}  # scripted results, in order
+        self.results_by_name: dict[str, list] = defaultdict(list)  # scripted results, in order; read with .get
         for name, res in scenario.op_results:
-            self.results_by_name.setdefault(name, []).append(res)
+            self.results_by_name[name].append(res)
         self.steps_taken = 0
         self.uri_env = dict(scenario.uri_env)
         self.plans: dict[str, tuple] = {}  # screen name -> its `_compile_screen` plan
