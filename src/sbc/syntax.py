@@ -202,10 +202,8 @@ MAX_EXPRESSION_NODES = 100
 _ENDS = frozenset({"", "screen", "start", "proxy", "resource"})
 # the words that start a block item, where recovery inside a block also stops
 _RESUME = frozenset({"transition", "param", *KINDS})
-# The most tokens a fast path reads past the token it starts at (a transition
-# head's destination).  A fast path reads a whole common shape at once, and on
-# any mismatch the checked calls read it again from the same position, so that
-# every diagnostic comes from them.
+# the most tokens a fast path (see the module docstring) reads past the token
+# it starts at: a transition head's destination
 _LOOKAHEAD = 5
 
 

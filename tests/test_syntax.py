@@ -168,7 +168,7 @@ class TestParse:
         text = path.read_text(encoding="utf-8")
         toks, offsets, _ = syntax._lex(text, "t")
         cuts = sorted({*offsets, *(o + len(t) for t, o in zip(toks, offsets))})
-        assert len(cuts) > 2 * 100
+        assert len(cuts) > len(toks)
         for cut in cuts:
             out = syntax.parse(text[:cut], "t")
             assert out.ok != bool(out.diagnostics), cut
