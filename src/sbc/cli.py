@@ -166,14 +166,9 @@ def _trace_lines(trace: interp.Trace) -> list[str]:
     """The trace as text: a line per step, with its store sorted by name, then a
     line per proxy exit."""
     names = _Names(lambda q: f"{q}=")
-    orders: dict[tuple, list] = {}  # a store's names, as inserted -> sorted; a run holds few such sets
 
     def store_text(values: dict) -> str:
-        keys = tuple(values)
-        order = orders.get(keys)
-        if order is None:
-            order = orders[keys] = sorted(keys)
-        return ", ".join([names[k] + repr(values[k][0]) for k in order])
+        return ", ".join([names[k] + repr(values[k][0]) for k in sorted(values)])
 
     lines = [f"{rule}: <terminal>" if current is None else f"{rule}: {current} [{store_text(sigma)}]"
              for rule, (current, sigma) in trace.steps]

@@ -215,11 +215,7 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
     def unused(what: str, span):
         return Diagnostic("IF003", f"safe mark on {what} declassifies no flow", span)
 
-    own: list[Diagnostic] = []  # a widget's or binding's own warning follows its arguments'
     for s, t, holder, is_safe, v in model.positions:
-        if own and not isinstance(holder, OperationUse):
-            warnings += own
-            own = []
         if not is_safe:
             continue
         in_op = isinstance(holder, OperationUse)
@@ -231,14 +227,13 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
             if src is not None:  # build_influences added this edge
                 safe.add((src, dst))
             elif not uses:
-                own.append(unused(f"widget '{holder.id}'", holder.span))
+                warnings.append(unused(f"widget '{holder.id}'", holder.span))
         elif src is not None:
             safe.add((src, dst))
         elif in_op:
             warnings.append(unused(f"literal argument of operation '{holder.name}'", holder.span))
         else:
-            own.append(unused(f"binding of parameter '{holder.target}'", holder.span))
-    warnings += own
+            warnings.append(unused(f"binding of parameter '{holder.target}'", holder.span))
 
     for p in model.proxies:
         if p.safe or p.app_id is not None:
@@ -302,13 +297,13 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
     roles = graph.roles
 
     unsafe = graph.edges - safe
-    names, index, succ, pred = _number(set(graph.nodes).union(*unsafe), unsafe)
+    names, index, succ, pred = _number(graph.nodes, unsafe)
     sources = sorted(index[q] for q in trust.untrusted_sources)
     sinks = sorted(index[q] for q in trust.untrusted_sinks)
 
-    # Only untrusted sources (integrity) and declared nodes with an unsafe path
-    # into an untrusted sink (confidentiality) can start a witness.
-    leaks = sorted(n for n in _reach(sinks, pred) if names[n] in roles)
+    # Only untrusted sources (integrity) and nodes with an unsafe path into an untrusted sink
+    # (confidentiality) can start a witness; in a model that passes `validate`, both ends of an edge have a role.
+    leaks = sorted(_reach(sinks, pred))
     parents = {n: _least_paths(n, succ) for n in set(sources).union(leaks)}
 
     # Integrity: a widget or operation consumes, along an unsafe direct edge,

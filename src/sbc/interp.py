@@ -103,22 +103,14 @@ _STRING = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
 _KV = re.compile(r'(\w+)=' + _STRING.pattern)
 
 
-# What `str.split()` splits on besides blanks and "\n"; in a text free of these
-# and of non-ASCII characters, `line.split()` splits a line on blanks alone.
-_SPLIT_ALSO = "\v\f\r\x1c\x1d\x1e\x1f"
-
-
-def _directive(line: str, plain: bool) -> tuple[str, object]:
+def _directive(line: str) -> tuple[str, object]:
     """What one line says, as (head, value): a gesture's (widget, Gesture), an
     `op` line's (name, result), a `launch` line's (uri or None, arguments), an
     `env` line's (param, value), or `stop`; head is "" for a line without words.
     A line that says nothing valid raises ScenarioError with the reason alone."""
-    if plain and '"' not in line and "#" not in line:
-        words = line.split()
-    else:
-        words = _WORD.findall(line)
-        if words and words[-1][0] == "#":
-            words.pop()
+    words = _WORD.findall(line)
+    if words and words[-1][0] == "#":
+        words.pop()
     if not words:
         return "", None
     if '"' in words:
@@ -169,13 +161,12 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
     stop_after = None
     if "\r" in text:  # a CRLF file: each line loses one trailing "\r"
         text = "\n".join(line[:-1] if line[-1:] == "\r" else line for line in text.split("\n"))
-    plain = text.isascii() and not any(c in text for c in _SPLIT_ALSO)
     read: dict[str, tuple[str, object]] = {}  # each distinct line is read once
     for lineno, line in enumerate(text.split("\n"), 1):
         d = read.get(line)
         if d is None:
             try:
-                d = read[line] = _directive(line, plain)
+                d = read[line] = _directive(line)
             except ScenarioError as e:
                 raise ScenarioError(f"{file}:{lineno}: {e}") from None
         head, value = d
@@ -318,7 +309,7 @@ def _holding(compiled, holder: QualifiedId):
     """A callable that stores the compiled value in the dict it is given, under
     holder and with holder added to its taint; an undefined value stores nothing."""
     own = frozenset({holder})
-    if not callable(compiled):
+    if not callable(compiled):  # a literal: its stored Value is built once per run, not once per step
         stored = Value(compiled.payload, own)
 
         def hold_constant(into: dict):

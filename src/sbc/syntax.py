@@ -225,9 +225,7 @@ class _Parser:
         starts = self.starts
         if starts is None:
             starts = self.starts = _line_starts(self.text)
-        offset = self.offsets[i]  # _span inlined: the parser makes a span for every record
-        line = bisect_right(starts, offset)
-        return _new(SourceSpan, (self.file, line, offset - starts[line - 1] + 1, len(self.toks[i])))
+        return _span(self.file, starts, self.offsets[i], len(self.toks[i]))
 
     def at(self, text: str) -> bool:
         return self.toks[self.pos] == text

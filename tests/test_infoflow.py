@@ -1,9 +1,12 @@
 """Information-flow analysis: influences, closure, classification, violations."""
 
-from conftest import FIXTURES, flow, load_fixture, oracle_flows, oracle_least_paths, parse_text, violations
+import random
 
-from sbc import infoflow
-from sbc.model import OPERATION, qualify
+from conftest import FIXTURES, flow, load_fixture, oracle_flows, oracle_least_paths, parse_text, violations
+from golden import rename
+
+from sbc import infoflow, syntax
+from sbc.model import OPERATION, qualify, validate
 from modelgen import gen_model
 
 
@@ -48,6 +51,22 @@ class TestInfluences:
             declared = set(g.roles)
             for a, b in g.edges:
                 assert a in declared and b in declared
+
+    def test_edge_ends_have_roles_in_every_valid_model(self):
+        # `analyze` numbers the role nodes alone, which holds only if every model
+        # that passes `validate` has no edge end without a role: the generated
+        # models and their one-word renames that still validate
+        rng = random.Random(20)
+        checked = 0
+        for seed in range(300):
+            text = syntax.format_model(gen_model(seed))
+            for outcome in (syntax.parse(text), syntax.parse(rename(rng, text))):
+                if not outcome.ok or validate(outcome.model):
+                    continue
+                g = infoflow.build_influences(outcome.model)
+                assert {q for edge in g.edges for q in edge} <= g.roles.keys(), seed
+                checked += 1
+        assert checked > 350
 
 
 class TestClosure:
