@@ -93,13 +93,15 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
 
     # an argument is typed from every use of its operation: opaque where they disagree
     params: dict[str, tuple[ValueType, ...]] = {}
-    caps: dict[str, Optional[tuple[str, str]]] = {}  # validation makes the uses agree
+    # the capability that any use names: validation rules out two, but not a use that names none
+    caps: dict[str, tuple[str, str]] = {}
     for s, op in model.operations:
         ptypes = tuple(arg_type(s, a.value) for a in op.args)
         seen = params.get(op.name, ptypes)
         params[op.name] = tuple(t if t is u else ValueType.OPAQUE for t, u in zip(seen, ptypes))
-        caps.setdefault(op.name, op.capability)
-    return {name: OpSignature(name, params[name], return_type(name), caps[name]) for name in sorted(params)}
+        if op.capability is not None:
+            caps[op.name] = op.capability
+    return {name: OpSignature(name, params[name], return_type(name), caps.get(name)) for name in sorted(params)}
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ class TestSignatures:
         m = parse_text('app "a" screen S { param p\n' + "\n".join(uses[order:] + uses[:order]) + " }")
         assert codegen.infer_signatures(m)["f"].param_types == (ValueType.OPAQUE, ValueType.TEXT)
 
+    @pytest.mark.parametrize("order", [0, 1], ids=["bare-first", "capability-first"])
+    def test_capability_comes_from_the_use_that_names_it(self, order):
+        # a use without `use R.C` leaves the operation's capability to the use that names one
+        uses = ["TextView T = f()", "TextView U = f() use HTTPS.get"]
+        m = parse_text('app "a" screen S { ' + "\n".join(uses[order:] + uses[:order]) + " }")
+        assert codegen.infer_signatures(m)["f"].capability == ("HTTPS", "get")
+        units, _ = codegen.generate_all(m)
+        stub = next(u.contents for u in units if u.path == "ops.stub")
+        assert "  uses HTTPS.get" in stub and f"{codegen.HOOK} f" not in stub
+
     def test_text_via_displayed_param(self):
         m = parse_text(
             'app "a" screen S { Button B = "b"\n'
