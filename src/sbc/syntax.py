@@ -269,6 +269,7 @@ class _Parser:
         i = self.pos
         word = self.ident(what)
         if word not in table:
+            self.pos = i  # the error names this word, so recovery starts from it
             raise ParseError(Diagnostic("PAR003", f"unknown {what} '{word}'", self.span(i)))
         return table[word]
 

@@ -73,6 +73,13 @@ class TestParse:
         assert not out.ok
         assert len(out.diagnostics) >= 2
 
+    def test_recovery_after_an_unknown_gesture_reads_the_next_item(self):
+        # recovery starts at the unknown word, so t2 is read and its own error reported
+        out = syntax.parse('app "a"\nscreen S {\n  Button Next = "n"\n  transition t1 order 1 dest S cond Next.tap\n'
+                           '  transition t2 order 2 dest S cond Next.click { param = x }\n}\n', "t")
+        assert [(d.span.line, d.span.column, d.code, d.message) for d in out.diagnostics] == [
+            (4, 42, "PAR003", "unknown gesture 'tap'"), (5, 56, "PAR002", "expected parameter name, found '='")]
+
     BLOCK = 'app "a"\nscreen S {\n  Button B = "b"\n  transition t order 1 dest S cond B.click {\n'
 
     @pytest.mark.parametrize("body, expected", [
