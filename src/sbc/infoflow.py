@@ -54,9 +54,6 @@ Edge = tuple[QualifiedId, QualifiedId]
 class ClosureRelation(NamedTuple):
     pairs: frozenset[Edge]
 
-    def __contains__(self, pair: Edge) -> bool:
-        return pair in self.pairs
-
 
 class TrustMap(NamedTuple):
     untrusted_sources: frozenset[QualifiedId]

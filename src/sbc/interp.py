@@ -191,7 +191,6 @@ class ScenarioState:
     has visited, built on its first visit (`_compile_screen`)."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         self.gestures = scenario.gestures
         self.stop_after = inf if scenario.stop_after is None else scenario.stop_after
         self.op_ordinal: dict[str, int] = {}

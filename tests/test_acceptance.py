@@ -61,7 +61,7 @@ def test_01_worked_example_parity():
     for a, b in [("y@Contacts", "z@PhoneApp"), ("y@Contacts", "x@SaveStatus"),
                  ("y@Contacts", "dispMsg"), ("y@Contacts", "Status@SaveStatus"),
                  ("x@SaveStatus", "Status@SaveStatus")]:
-        assert (q(a), q(b)) in cl
+        assert (q(a), q(b)) in cl.pairs
     vs = violations(m)
     assert [(kind, str(source), str(sink)) for kind, source, sink in map(flow, vs)] == [
         ("integrity", "y@Contacts", "Phone@Contacts"),

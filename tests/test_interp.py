@@ -220,8 +220,9 @@ class TestScenarioState:
 
 class TestStep:
     def test_save_click_reaches_save_status(self, messenger):
-        state = ScenarioState(scn("messenger_uri.scn"))
-        c = interp.init_app(messenger, state.scenario)
+        sc = scn("messenger_uri.scn")
+        state = ScenarioState(sc)
+        c = interp.init_app(messenger, sc)
         c, rule, _ = interp.step(messenger, c, state)
         assert rule == "transition" and c.current == "SaveStatus"
         assert c.sigma[q("x@SaveStatus")].payload == "0123"
@@ -235,8 +236,9 @@ class TestStep:
         assert c.current == "Messenger"
 
     def test_stop_erases_store(self, messenger):
-        state = ScenarioState(scn("stop.scn"))
-        c, rule, _ = interp.step(messenger, interp.init_app(messenger, state.scenario), state)
+        sc = scn("stop.scn")
+        state = ScenarioState(sc)
+        c, rule, _ = interp.step(messenger, interp.init_app(messenger, sc), state)
         assert rule == "stop" and c.terminal and c.sigma == {}
 
     def test_ordered_evaluation_skips_later_guards(self, messenger):
@@ -285,8 +287,9 @@ class TestStep:
         assert c.sigma[q("x@S")].payload == "v"
 
     def test_cross_screen_erases_everything_but_bindings(self, messenger):
-        state = ScenarioState(scn("messenger_uri.scn"))
-        c = interp.init_app(messenger, state.scenario)
+        sc = scn("messenger_uri.scn")
+        state = ScenarioState(sc)
+        c = interp.init_app(messenger, sc)
         c, _, _ = interp.step(messenger, c, state)
         assert set(c.sigma) == {q("x@SaveStatus")}
 
