@@ -110,14 +110,15 @@ class TestScenarioParse:
 
 
 # The reference reader: the scenario grammar's words as one regular expression
-# over each "\n" line, with no fast path and no memo.  A quoted run's body is
-# written as an alternation here, not unrolled as in `interp`.
+# over each "\n" line, with no memo.  A quoted run's body is written as an
+# alternation here, not unrolled as in `interp`.
 REF_WORD = re.compile(r'(?:[^ \t"#]|"(?:[^"\\]|\\.)*")+|#.*|"')
 REF_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 # Pieces of random `op` lines: plain words, quoted runs holding blanks, tabs,
 # `#`, escaped quotes and backslashes, lone quotes and backslashes, comments,
-# and characters that `str.split()` splits on or that turn the fast path off.
+# non-ASCII characters and characters that `str.split()` splits on, which
+# belong to a word here.
 PIECES = ["op", "f", "g1", "->", "-", ">", "true", "false", '"', '\\', '\\\\', '\\"', "#", "# c", '"a"', '""',
           '"a b"', '"a\tb"', '"#"', '"a#b"', '"\\""', '"\\\\"', '"a\\"b"', '"x', 'y"', "\x0c", "\x0b", "\x1f",
           "é", "\u2028"]
@@ -165,7 +166,7 @@ class TestScenarioReader:
             heads = [["op", rng.choice(["f", "g1", "f g"]), "->"] for _ in range(2)] if rng.random() < 0.5 else None
             lines = [random_op_line(rng, heads) for _ in range(rng.randint(1, 6))]
             lines += rng.sample(lines, rng.randint(0, len(lines)))  # repeated lines are read once
-            if rng.random() < 0.3:  # one non-ASCII line turns the fast path off for the whole text
+            if rng.random() < 0.3:  # a comment line with a non-ASCII character, which reads as no directive
                 lines.insert(rng.randrange(len(lines) + 1), "# é")
             text = "\n".join(lines) + "\n"
             expected = [reference_op_line(line) if line != "# é" else None for line in lines]
