@@ -45,17 +45,9 @@ class TestInfluences:
         assert q("p@S") in g.nodes and q("T@S") in g.nodes
 
     def test_edges_reference_declared_entities(self):
-        for seed in range(50):
-            m = gen_model(seed)
-            g = infoflow.build_influences(m)
-            declared = set(g.roles)
-            for a, b in g.edges:
-                assert a in declared and b in declared
-
-    def test_edge_ends_have_roles_in_every_valid_model(self):
-        # `analyze` numbers the role nodes alone, which holds only if every model
-        # that passes `validate` has no edge end without a role: the generated
-        # models and their one-word renames that still validate
+        # `analyze` numbers the role nodes alone, so no model that passes `validate`
+        # may have an edge end without a role: here the generated models and
+        # their one-word renames that still validate
         rng = random.Random(20)
         checked = 0
         for seed in range(300):
