@@ -22,9 +22,10 @@ models run `check`, mutants `analyze --format machine`, scenario mutants
 `analyze`, both in machine format, and `generate`, whose operation signatures
 type an argument by whether its name is a parameter of the screen.
 Last come the hand-written inputs of tests/gate, which reach the branches
-that the rest of the corpus misses; each runs the full set of commands, and
-`simulate` with every scenario of tests/gate whose name starts with its own
-name and `_`.
+that the rest of the corpus misses; each runs the full set of commands,
+`analyze --fail-on-warnings`, `analyze` with `gate/starts.sbd` (which fails
+to parse) as a second input after it and before it, and `simulate` with
+every scenario of tests/gate whose name starts with its own name and `_`.
 
 golden.json holds, per input, a digest of the input itself (so that drift in
 a generator shows as a corpus change, not an output change) and one digest
@@ -102,8 +103,13 @@ COMMANDS = {
     "fmt": lambda p: ["fmt", p],
     "generate": lambda p: ["generate", p, "-o", "out"],
     "simulate-messenger": lambda p: ["simulate", "fixtures/messenger.sbd", "--scenario", p],
+    "analyze-fail-on-warnings": lambda p: ["analyze", "--fail-on-warnings", p],
+    "analyze-then-starts": lambda p: ["analyze", p, PARTNER],
+    "analyze-after-starts": lambda p: ["analyze", PARTNER, p],
 }
+PARTNER = "gate/starts.sbd"  # fails to parse; the gate writes it before the other gate inputs
 FULL = ("check", "check-machine", "analyze", "analyze-machine", "fmt", "generate")
+GATE_COMMANDS = (*FULL, "analyze-fail-on-warnings", "analyze-then-starts", "analyze-after-starts")
 MODEL_COMMANDS = ("analyze", "analyze-machine", "fmt", "generate")  # models are well-formed: check prints nothing
 MUTANT_COMMANDS = ("analyze-machine",)
 RENAMED_COMMANDS = ("check",)
@@ -205,8 +211,8 @@ def corpus() -> list[tuple[str, str, tuple[str, ...], dict[str, str]]]:
         text = reorder(rng, rng.choice(models if i % 2 else formatted), i % 4 == 1)
         out.append((f"reordered/{i:04d}.sbd", text, REORDERED_COMMANDS, {}))
     gate_scenarios = sorted(GATE.glob("*.scn"))
-    for p in sorted(GATE.glob("*.sbd")):
-        out.append((f"gate/{p.name}", p.read_text(encoding="utf-8"), FULL,
+    for p in sorted(GATE.glob("*.sbd"), key=lambda g: (f"gate/{g.name}" != PARTNER, g.name)):
+        out.append((f"gate/{p.name}", p.read_text(encoding="utf-8"), GATE_COMMANDS,
                     {f"simulate gate/{q.name}": q.read_text(encoding="utf-8")
                      for q in gate_scenarios if q.name.startswith(p.stem + "_")}))
     return out
