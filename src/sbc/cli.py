@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of o
 from typing import Optional
 
 from . import codegen, interp, rules, syntax
-from .model import AppModel, Diagnostic, Severity, validate
+from .model import AppModel, Diagnostic, validate
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -34,7 +34,7 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-_COLORS = {Severity.ERROR: "\x1b[31m", Severity.WARNING: "\x1b[33m"}
+_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 
 def _sort_key(d: Diagnostic):
@@ -56,7 +56,7 @@ class _Names(dict):
 def _human_line(d: Diagnostic, names: _Names) -> str:
     """`SEVERITY CODE FILE:LINE:COL MESSAGE`, and the witness on a second line."""
     span = d.span
-    line = f"{d.severity.value} {d.code} {span.file}:{span.line}:{span.column} {d.message}"
+    line = f"{d.severity} {d.code} {span.file}:{span.line}:{span.column} {d.message}"
     if d.witness:
         line += "\n    flow: " + " -> ".join(map(names.__getitem__, d.witness))
     return line
@@ -66,7 +66,7 @@ def _machine_line(d: Diagnostic, names: _Names) -> str:
     """The finding as `json.dumps` writes its record, byte for byte."""
     span = d.span
     return (
-        f'{{"severity": {_json_str(d.severity.value)}, "code": {_json_str(d.code)}, '
+        f'{{"severity": {_json_str(d.severity)}, "code": {_json_str(d.code)}, '
         f'"file": {_json_str(span.file)}, "line": {span.line}, "col": {span.column}, '
         f'"message": {_json_str(d.message)}, "witness": [{", ".join(map(names.__getitem__, d.witness))}]}}'
     )
@@ -117,49 +117,29 @@ def _load_model(path: str, fmt: str) -> Optional[AppModel]:
     return outcome.model
 
 
-def _result_code(findings: list[Diagnostic], fail_on_warnings: bool) -> int:
-    if any(d.severity is Severity.ERROR for d in findings):
-        return EXIT_FINDINGS
-    if fail_on_warnings and findings:
+def _report(findings: list[Diagnostic], args) -> int:
+    """Print the findings; the exit code they give."""
+    emit_diagnostics(findings, args.format)
+    if any(d.severity == "error" for d in findings) or (args.fail_on_warnings and findings):
         return EXIT_FINDINGS
     return EXIT_CLEAN
 
 
-def _per_file(args, handler) -> int:
-    """Run handler(path) per input; worst exit code wins."""
+def _per_file(args, command) -> int:
+    """Load each input and run command(model) on it; worst exit code wins."""
     worst = EXIT_CLEAN
     for path in args.inputs:
-        worst = max(worst, handler(path))
+        model = _load_model(path, args.format)
+        worst = max(worst, EXIT_FAILURE if model is None else command(model))
     return worst
 
 
 def _cmd_check(args) -> int:
-    def one(path):
-        model = _load_model(path, args.format)
-        if model is None:
-            return EXIT_FAILURE
-        diags = validate(model)
-        emit_diagnostics(diags, args.format)
-        return _result_code(diags, args.fail_on_warnings)
-
-    return _per_file(args, one)
-
-
-def _full_analysis(path: str, args) -> tuple[Optional[AppModel], list[Diagnostic], int]:
-    """Load the file and print its findings; model is None if it cannot be loaded."""
-    model = _load_model(path, args.format)
-    if model is None:
-        return None, [], EXIT_FAILURE
-    findings = rules.findings(model)
-    emit_diagnostics(findings, args.format)
-    return model, findings, _result_code(findings, args.fail_on_warnings)
+    return _per_file(args, lambda model: _report(validate(model), args))
 
 
 def _cmd_analyze(args) -> int:
-    def one(path):
-        return _full_analysis(path, args)[2]
-
-    return _per_file(args, one)
+    return _per_file(args, lambda model: _report(rules.findings(model), args))
 
 
 def _trace_lines(trace: interp.Trace) -> list[str]:
@@ -189,9 +169,10 @@ def _cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
 
-    def one(path):
-        model, findings, code = _full_analysis(path, args)
-        if model is None or any(d.code.startswith("WF") for d in findings):
+    def one(model):
+        findings = rules.findings(model)
+        code = _report(findings, args)
+        if any(d.code.startswith("WF") for d in findings):
             return code
         trace = interp.run(model, scenario, step_budget=args.budget or len(scenario.gestures) + 3)
         lines = _trace_lines(trace)
@@ -207,28 +188,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    def one(path):
-        model = _load_model(path, args.format)
-        if model is None:
-            return EXIT_FAILURE
+    def one(model):
         units, findings = codegen.generate_all(model)  # no units while a finding is an error
-        emit_diagnostics(findings, args.format)
+        code = _report(findings, args)
         try:
             codegen.write_units(units, args.out)
         except OSError as e:
             return _cannot_write(e, args.out)
-        return _result_code(findings, args.fail_on_warnings)
+        return code
 
     return _per_file(args, one)
 
 
 def _cmd_fmt(args) -> int:
-    def one(path):
-        model = _load_model(path, args.format)
-        if model is None:
-            return EXIT_FAILURE
+    def one(model):
         text = syntax.format_model(model)
         if args.write:
+            path = model.span.file  # the input's path, as the parser recorded it
             try:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(text)

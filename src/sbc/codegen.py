@@ -25,7 +25,6 @@ from .model import (
     Ref,
     Resource,
     Screen,
-    Severity,
     WidgetKind,
     builtin_cap,
 )
@@ -220,7 +219,7 @@ def _manifest(model: AppModel) -> GeneratedUnit:
 def generate_all(model: AppModel) -> tuple[list[GeneratedUnit], list[Diagnostic]]:
     """The units, none while a finding is an error, and the model's findings."""
     findings = rules.findings(model)
-    if any(d.severity is Severity.ERROR for d in findings):
+    if any(d.severity == "error" for d in findings):
         return [], findings
 
     units = [_manifest(model)]

@@ -15,7 +15,7 @@ from conftest import FIXTURES, flow, load_fixture, oracle_flows, taint_pairs, vi
 
 from modelgen import gen_model, gen_scenario
 from sbc import cli, codegen, infoflow, interp, rules, syntax
-from sbc.model import OPERATION, Severity, qualify
+from sbc.model import OPERATION, qualify
 
 
 def q(s):
@@ -90,10 +90,10 @@ def test_03_leak_example():
     m = load_fixture("browser.sbd")
     kinds = {(kind, str(sink)) for kind, _, sink in map(flow, violations(m))}
     assert ("confidentiality", "save") in kinds
-    assert any(f.code == "RC002" and f.severity is Severity.ERROR for f in rules.check_all(m))
+    assert any(f.code == "RC002" and f.severity == "error" for f in rules.check_all(m))
     fixed = load_fixture("browser_fixed.sbd")
     assert violations(fixed) == []
-    assert not any(f.severity is Severity.ERROR for f in rules.check_all(fixed))
+    assert not any(f.severity == "error" for f in rules.check_all(fixed))
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -101,15 +101,15 @@ def test_03_leak_example():
 def test_04_rule_suite():
     t0 = time.perf_counter()
     expected = {
-        "rc001_pos": [("RC001", Severity.ERROR)],
+        "rc001_pos": [("RC001", "error")],
         "rc001_neg": [],
-        "rc002_pos": [("RC002", Severity.ERROR)],
+        "rc002_pos": [("RC002", "error")],
         "rc002_neg": [],
-        "rc003_pos": [("RC003", Severity.WARNING)],
+        "rc003_pos": [("RC003", "warning")],
         "rc003_neg": [],
-        "rc004_pos": [("RC004", Severity.WARNING)],
+        "rc004_pos": [("RC004", "warning")],
         "rc004_neg": [],
-        "rc005_pos": [("RC005", Severity.ERROR)],
+        "rc005_pos": [("RC005", "error")],
         "rc005_neg": [],
     }
     for name, want in expected.items():

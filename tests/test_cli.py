@@ -90,7 +90,7 @@ class Writes(io.StringIO):
 def record(d):
     """The machine record of a finding, as a dict."""
     return {
-        "severity": d.severity.value,
+        "severity": d.severity,
         "code": d.code,
         "file": d.span.file,
         "line": d.span.line,
