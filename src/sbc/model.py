@@ -169,6 +169,10 @@ class WidgetKind(Enum):
     WEB_VIEW = "WebView"
 
 
+# The attributes of a widget rather than of its value, legal on WebView widgets only.
+WIDGET_ATTRS = ("trust-patterns", "allowJS")
+
+
 class Gesture(Enum):
     CLICK = "click"
     SWIPE = "swipe"
@@ -525,7 +529,7 @@ def validate(model: AppModel) -> list[Diagnostic]:
         for w in s.widgets:
             if w.kind is not WidgetKind.WEB_VIEW:
                 for k, _ in w.attributes:
-                    if k in ("trust-patterns", "allowJS"):
+                    if k in WIDGET_ATTRS:
                         out.append(Diagnostic("WF009", f"attribute '{k}' is only legal on WebView widgets", w.span))
     return out
 

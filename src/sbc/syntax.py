@@ -55,6 +55,7 @@ from itertools import accumulate, islice
 from typing import NamedTuple, Optional
 
 from .model import (
+    WIDGET_ATTRS,
     Access,
     AppModel,
     Arg,
@@ -89,9 +90,6 @@ ACCESS = {a.value: a for a in Access}
 
 # alias tolerated for the whitelist attribute
 ATTR_ALIASES = {"trusted-patterns": "trust-patterns"}
-
-# attributes that belong to the widget even when written after an opcall value
-WIDGET_ATTRS = ("trust-patterns", "allowJS")
 
 
 class ParseError(Exception):
