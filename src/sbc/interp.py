@@ -396,7 +396,7 @@ def step(model: AppModel, config: Configuration, state: ScenarioState) -> tuple[
 
     if to_proxy:
         # leaving the app: hand the outbound values to the external screen
-        event = ("proxy-exit", dest, {str(q): v for q, v in bound.items()})
+        event = ("proxy-exit", dest, bound)
         return TERMINAL, "proxy-exit", [event]
 
     if dest == name:

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sbc import infoflow, syntax
-from sbc.model import OPERATION, QualifiedId, validate
+from sbc.model import validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,11 +59,7 @@ def taint_pairs(trace):
     """(origin, holder) for every taint origin of every value the run held:
     the stores of its steps and the values handed out at a proxy exit."""
     held = [(q, v) for _, config in trace.steps for q, v in config.sigma.items()]
-    for ev in trace.events:
-        if ev[0] == "proxy-exit":
-            for name, value in ev[2].items():
-                base, _, owner = name.partition("@")
-                held.append((QualifiedId(base, owner or OPERATION), value))
+    held += [(q, v) for ev in trace.events if ev[0] == "proxy-exit" for q, v in ev[2].items()]
     return {(origin, holder) for holder, value in held for origin in value.taint}
 
 

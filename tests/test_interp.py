@@ -271,7 +271,7 @@ class TestStep:
         c, rule, events = interp.step(messenger, interp.init_app(messenger, sc), state)
         assert rule == "proxy-exit" and c.terminal
         assert events[0][1] == "PhoneApp"
-        assert events[0][2]["z@PhoneApp"].payload == "777"
+        assert events[0][2][qualify("z", "PhoneApp")].payload == "777"
 
     def test_self_transition_clears_widgets_keeps_params(self):
         m = parse_text(
