@@ -31,8 +31,10 @@ word even when it holds blanks or `#`, and in a quoted string `\"` stands for
 a quote and `\\` for a backslash.  A `#` outside quotes starts a comment that
 runs to the end of the line; a quote left open is an error.
 
-`op` results are consumed in order per operation name; `stop` backgrounds the
-app after the preceding gestures have been processed.
+A `launch` line comes at most once, before every gesture; without one the
+app starts at its start screen.  `op` results are consumed in order per
+operation name; `stop` backgrounds the app after the preceding gestures have
+been processed.
 """
 
 from __future__ import annotations
@@ -153,8 +155,7 @@ def _directive(line: str) -> tuple[str, object]:
 
 
 def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
-    launch_uri = None
-    launch_args: list[tuple[str, str]] = []
+    launch = None  # (uri or None, arguments)
     gestures: list[tuple[str, Gesture]] = []
     op_results: list[tuple[str, Union[str, bool]]] = []
     uri_env: list[tuple[str, str]] = []
@@ -175,14 +176,15 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
         elif head == "op":
             op_results.append(value)
         elif head == "launch":
-            if value[0] is not None:
-                launch_uri = value[0]
-                launch_args += value[1]
+            if launch is not None or gestures:
+                raise ScenarioError(f"{file}:{lineno}: launch must come once, before every gesture")
+            launch = value
         elif head == "env":
             uri_env.append(value)
         elif head == "stop":
             stop_after = len(gestures) + 1
-    return Scenario(launch_uri, tuple(launch_args), tuple(gestures), tuple(op_results), tuple(uri_env), stop_after)
+    launch_uri, launch_args = launch or (None, ())
+    return Scenario(launch_uri, launch_args, tuple(gestures), tuple(op_results), tuple(uri_env), stop_after)
 
 
 class ScenarioState:

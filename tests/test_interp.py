@@ -61,6 +61,20 @@ class TestScenarioParse:
         with pytest.raises(interp.ScenarioError, match='^run.scn:1: expected: launch uri "..."$'):
             interp.parse_scenario(line + "\n", "run.scn")
 
+    @pytest.mark.parametrize("text, line", [
+        ('launch\nlaunch uri "app://contacts/{y}" y="2"\n', 2),
+        ('launch uri "app://contacts/{y}"\nenv y="1"\nlaunch\n', 3),
+        ('launch\nclick Save\nlaunch uri "app://contacts/{y}" y="2"\n', 3),
+        ('click Save\nlaunch\n', 2),
+    ])
+    def test_launch_comes_once_before_every_gesture(self, text, line):
+        with pytest.raises(interp.ScenarioError, match=f"^run.scn:{line}: launch must come once, before every gesture$"):
+            interp.parse_scenario(text, "run.scn")
+
+    def test_launch_may_follow_op_env_and_comment_lines(self):
+        s = interp.parse_scenario('# c\nop f -> true\nenv y="1"\nlaunch uri "app://contacts/{y}" y="2"\nclick Save\n')
+        assert (s.launch_uri, s.launch_args) == ("app://contacts/{y}", (("y", "2"),))
+
     def test_quoted_blank_in_env(self):
         assert interp.parse_scenario('env y="a b"\n').uri_env == (("y", "a b"),)
 
