@@ -17,6 +17,7 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of one str
+from operator import attrgetter
 from typing import Optional
 
 from . import codegen, interp, rules, syntax
@@ -37,10 +38,6 @@ def _use_color(stream) -> bool:
 _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 
-def _sort_key(d: Diagnostic):
-    return (d.span.file, d.span.line, d.code)
-
-
 class _Names(dict):
     """Name -> its text, formatted on first use; one per run."""
 
@@ -53,34 +50,35 @@ class _Names(dict):
         return text
 
 
-def _human_line(d: Diagnostic, names: _Names) -> str:
+def _human_line(d: Diagnostic, place: tuple[str, int, int], names: _Names) -> str:
     """`SEVERITY CODE FILE:LINE:COL MESSAGE`, and the witness on a second line."""
-    span = d.span
-    line = f"{d.severity} {d.code} {span.file}:{span.line}:{span.column} {d.message}"
+    line = f"{d.severity} {d.code} {place[0]}:{place[1]}:{place[2]} {d.message}"
     if d.witness:
         line += "\n    flow: " + " -> ".join(map(names.__getitem__, d.witness))
     return line
 
 
-def _machine_line(d: Diagnostic, names: _Names) -> str:
+def _machine_line(d: Diagnostic, place: tuple[str, int, int], names: _Names) -> str:
     """The finding as `json.dumps` writes its record, byte for byte."""
-    span = d.span
     return (
         f'{{"severity": {_json_str(d.severity)}, "code": {_json_str(d.code)}, '
-        f'"file": {_json_str(span.file)}, "line": {span.line}, "col": {span.column}, '
+        f'"file": {_json_str(place[0])}, "line": {place[1]}, "col": {place[2]}, '
         f'"message": {_json_str(d.message)}, "witness": [{", ".join(map(names.__getitem__, d.witness))}]}}'
     )
 
 
 def emit_diagnostics(findings: list[Diagnostic], fmt: str) -> None:
-    """Print the findings, sorted by place and code, in one write."""
-    ordered = sorted(findings, key=_sort_key)
+    """Print the findings in one write, sorted by file, line and code; each distinct span is placed once."""
+    places = {span: (span.file, *span.source.position(span.index)) for span in {d.span for d in findings}}
+    file_lines = {span: place[:2] for span, place in places.items()}
+    ordered = sorted(findings, key=attrgetter("code"))  # by code, then stably by file and line
+    ordered.sort(key=lambda d: file_lines[d.span])
     if fmt == "machine":
         names = _Names(lambda q: _json_str(str(q)))
-        lines = [_machine_line(d, names) for d in ordered]
+        lines = [_machine_line(d, places[d.span], names) for d in ordered]
     else:
         names = _Names(str)
-        lines = [_human_line(d, names) for d in ordered]
+        lines = [_human_line(d, places[d.span], names) for d in ordered]
         if _use_color(sys.stdout):
             lines = [_COLORS[d.severity] + line + "\x1b[0m" for d, line in zip(ordered, lines)]
     if lines:

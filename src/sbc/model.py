@@ -1,7 +1,8 @@
 """Storyboard domain model: typed AST, builtin resource catalog, well-formedness.
 
 The types here are `typing.NamedTuple` records, immutable because tuples are,
-and so safe to share between threads; `record` makes each a value type.
+and so safe to share between threads; `record` makes each a value type.  A
+`SourceSpan` reads its place through a `syntax.Source`, whose lazy fill is idempotent.
 `AppModel` keeps, each built once on first use, its declarations by name and
 its value positions (`sites`), which validation, the flow analysis, the rules
 and code generation all read.  Validation is pure: the same model always
@@ -35,10 +36,13 @@ def record(cls):
 
 @record
 class SourceSpan(NamedTuple):
-    file: str
-    line: int  # 1-based
-    column: int  # 1-based
-    length: int = 0
+    source: "Source"  # syntax.Source
+    index: int
+    length: int
+
+    file = property(lambda self: self.source.file)
+    line = property(lambda self: self.source.position(self.index)[0])  # 1-based
+    column = property(lambda self: self.source.position(self.index)[1])  # 1-based
 
 
 class QualifiedId(NamedTuple):

@@ -32,9 +32,9 @@ is a parameter or a widget ask the screen (see `model.Ref`).
 A token is the plain `str` of its source text, and its first character is
 its kind: a letter or `_` starts an IDENT, a digit an INT, `"` a STRING
 (quotes and escapes kept, so that no string equals a keyword) and any other
-character is punctuation.  The end of the input is "".  The lexer keeps each
-token's offset; a line and a column are worked out only for the spans the
-parser keeps and for diagnostics.
+character is punctuation.  The end of the input is "".  A span is its token's
+index in the parse's `Source`, which works out offsets, lines and columns
+only when a span's line or column is read: a clean `check` or `fmt` never does.
 
 Both halves are shaped by the cost per token, since `check` and `fmt` read
 whole storyboards while they are drawn.  The lexer is one `re.split`, whose
@@ -145,35 +145,54 @@ def _unquote(tok: str) -> str:
     return _unescape(tok[1:-1])  # a lone \ never precedes " or \
 
 
-def _line_starts(text: str) -> list[int]:
-    """The offset of each line, then one past the end."""
-    return list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+class Source:
+    """The file and text of one parse, shared by its spans, whose index is a token's
+    (a character offset if there are no split parts).  The first read works out the
+    offsets and line starts and drops the parts; threads may race, the fill is idempotent."""
+
+    def __init__(self, file: str, text: str, parts: Optional[list[str]] = None):
+        self.file, self.text, self.parts = file, text, parts
+        self.lines = None  # the token offsets (None without parts), then each line's offset and one past the end
+
+    def offset(self, index: int) -> int:
+        offsets = (self.lines or self._fill())[0]
+        return index if offsets is None else offsets[index]
+
+    def position(self, index: int) -> tuple[int, int]:
+        """The line and the column of index, both from 1."""
+        offset, starts = self.offset(index), self.lines[1]
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    def _fill(self) -> tuple[Optional[list[int]], list[int]]:
+        parts = self.parts
+        lines = self.lines  # read after parts: a thread drops the parts only once lines is set
+        if lines is None:
+            offsets = None if parts is None else list(islice(accumulate(map(len, parts)), 1, None, 3))
+            self.lines = lines = offsets, list(accumulate(map((1).__add__, map(len, self.text.split("\n"))), initial=0))
+            self.parts = None
+        return lines
 
 
-def _span(file: str, starts: list[int], offset: int, length: int) -> SourceSpan:
-    line = bisect_right(starts, offset)
-    return _new(SourceSpan, (file, line, offset - starts[line - 1] + 1, length))
-
-
-def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
-    """The tokens, ending with one "", their offsets, and the PAR001 diagnostics:
-    one per unterminated string and one per run of characters that start no
-    token."""
+def _lex(text: str, file: str) -> tuple[list[str], Source, list[Diagnostic]]:
+    """The tokens, ending with one "", the source of their spans, and the PAR001
+    diagnostics: one per unterminated string and one per run of characters
+    that start no token."""
     parts = _TOKEN.split(text)
     toks = parts[2::3]
-    offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))
     if len(toks) > 1 and not toks[-2]:  # skipped text ran to the end, then the end matched again
-        del toks[-1], offsets[-1]
+        del toks[-1]
+    source = Source(file, text, parts)
     skipped = parts[1::3]  # skipped[k] ends where token k starts
     joined = "".join(skipped)
     if _ONLY_BLANKS.fullmatch(joined):  # most texts skip blanks alone: no scan for errors
-        return toks, offsets, []
+        return toks, source, []
     diags: list[Diagnostic] = []
     ends = None
     for m in _ERRORS.finditer(joined):
         if g := m.lastindex:
             if ends is None:
-                ends, starts = list(accumulate(map(len, skipped))), _line_starts(text)
+                ends, chars = list(accumulate(map(len, skipped))), Source(file, text)
             i, j = m.span(g)
             while i < j:  # one diagnostic per skip that the match spans
                 k = bisect_right(ends, i)
@@ -184,9 +203,9 @@ def _lex(text: str, file: str) -> tuple[list[str], list[int], list[Diagnostic]]:
                     msg = f"unexpected character {m.string[i]!r}"
                 else:
                     msg = f"{n} unexpected characters starting with {m.string[i]!r}"
-                diags.append(Diagnostic("PAR001", msg, _span(file, starts, offsets[k] - ends[k] + i, n)))
+                diags.append(Diagnostic("PAR001", msg, _new(SourceSpan, (chars, source.offset(k) - ends[k] + i, n))))
                 i += n
-    return toks, offsets, diags
+    return toks, source, diags
 
 
 # An expression (a guard, or a widget's or binding's value) may hold at most
@@ -206,13 +225,10 @@ _LOOKAHEAD = 5
 
 
 class _Parser:
-    def __init__(self, text: str, file: str, toks: list[str], offsets: list[int]):
+    def __init__(self, source: Source, toks: list[str]):
+        self.source = source
         self.toks = toks
         toks += [""] * _LOOKAHEAD  # more ends, so that every token a fast path reads exists
-        self.offsets = offsets
-        self.text = text
-        self.starts: Optional[list[int]] = None  # line starts, found for the first span
-        self.file = file
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.nodes = 0  # operators and calls in the expression being parsed
@@ -220,10 +236,7 @@ class _Parser:
     # -- token plumbing -----------------------------------------------------
 
     def span(self, i: int) -> SourceSpan:
-        starts = self.starts
-        if starts is None:
-            starts = self.starts = _line_starts(self.text)
-        return _span(self.file, starts, self.offsets[i], len(self.toks[i]))
+        return _new(SourceSpan, (self.source, i, len(self.toks[i])))
 
     def at(self, text: str) -> bool:
         return self.toks[self.pos] == text
@@ -589,8 +602,8 @@ class _Parser:
 
 
 def parse(text: str, file: str = "<input>") -> ParseOutcome:
-    toks, offsets, diags = _lex(text, file)
-    parser = _Parser(text, file, toks, offsets)
+    toks, source, diags = _lex(text, file)
+    parser = _Parser(source, toks)
     model = parser.storyboard()
     diags.extend(parser.diags)  # storyboard() returns no model only after an error
     return ParseOutcome(None, diags) if diags else ParseOutcome(model, [])

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sbc import infoflow, syntax
-from sbc.model import validate
+from sbc.model import SourceSpan, validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -20,8 +20,14 @@ ILL_FORMED = {
 
 
 def shown(diags):
-    """The findings as (code, message, span), for an assertion's message."""
-    return [(d.code, d.message, d.span) for d in diags]
+    """The findings as (code, message, place), for an assertion's message."""
+    return [(d.code, d.message, f"{d.span.file}:{d.span.line}:{d.span.column}") for d in diags]
+
+
+def span_at(file: str, line: int, column: int, length: int = 0) -> SourceSpan:
+    """A span built by hand: a character offset in a text of blank lines and
+    blanks that puts it at line and column."""
+    return SourceSpan(syntax.Source(file, "\n" * (line - 1) + " " * (column - 1)), line + column - 2, length)
 
 
 def load_fixture(name: str):

@@ -9,11 +9,11 @@ import re
 import time
 
 import pytest
-from conftest import FIXTURES, ILL_FORMED
+from conftest import FIXTURES, ILL_FORMED, span_at
 from golden import SCENARIO_WORDS, WORDS, mutate, mutate_scenario
 
 from sbc import cli, codegen, infoflow, interp, model, rules, syntax
-from sbc.model import OPERATION, Diagnostic, SourceSpan, qualify, validate
+from sbc.model import OPERATION, Diagnostic, qualify, validate
 
 
 def fixture(name):
@@ -69,10 +69,10 @@ class TestExitCodes:
 
 # Hand-built findings, in the order emit_diagnostics sorts them (file, line, code).
 HAND_BUILT = [
-    Diagnostic("IF003", "safe mark on proxy 'P' declassifies no flow", SourceSpan("a.sbd", 1, 9)),
-    Diagnostic("RC002", 'WebView "w" has no trust-patterns whitelist', SourceSpan("a.sbd", 2, 1)),
+    Diagnostic("IF003", "safe mark on proxy 'P' declassifies no flow", span_at("a.sbd", 1, 9)),
+    Diagnostic("RC002", 'WebView "w" has no trust-patterns whitelist', span_at("a.sbd", 2, 1)),
     Diagnostic("IF001", "untrusted value reaches 'naïve@S' from 'y@S'",
-               SourceSpan('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
+               span_at('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
                                                             qualify("naïve", "S"))),
 ]
 
@@ -122,6 +122,22 @@ class TestEmission:
             "    flow: y@S -> f -> naïve@S\x1b[0m\n"
         )
         assert out.calls == 1
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_order_is_by_line_then_as_found(self, monkeypatch, fmt):
+        # Findings of one line and one code keep validate's order, a later
+        # column first; a finding at line 2, column 1 comes after one at line
+        # 1, column 40, although its offset in its own text is lower.
+        places = [(1, 30), (1, 5), (2, 1), (1, 40)]
+        out = Writes()
+        monkeypatch.setattr("sys.stdout", out)
+        cli.emit_diagnostics([Diagnostic("WF001", "duplicate", span_at("a.sbd", *p)) for p in places], fmt)
+        lines = out.getvalue().splitlines()
+        if fmt == "machine":
+            printed = [(r["line"], r["col"]) for r in map(json.loads, lines)]
+        else:
+            printed = [tuple(map(int, re.search(r"a\.sbd:(\d+):(\d+)", ln).groups())) for ln in lines]
+        assert printed == [(1, 30), (1, 5), (1, 40), (2, 1)]
 
     def test_nothing_to_emit_writes_nothing(self, monkeypatch):
         out = Writes()

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import parse_text
+from conftest import parse_text, span_at
 
 from sbc import model
 from sbc.model import (
@@ -18,7 +18,6 @@ from sbc.model import (
     Literal,
     QualifiedId,
     Ref,
-    SourceSpan,
     Trust,
     qualify,
     sites,
@@ -53,8 +52,8 @@ class TestRecords:
 
     @pytest.mark.parametrize("cls", [c for c in RECORDS if "span" in c._fields], ids=lambda c: c.__name__)
     def test_span_takes_no_part_in_equality_or_hash(self, cls):
-        a = make(cls, span=SourceSpan("a.sbd", 1, 1))
-        b = make(cls, span=SourceSpan("b.sbd", 2, 3, 4))
+        a = make(cls, span=span_at("a.sbd", 1, 1))
+        b = make(cls, span=span_at("b.sbd", 2, 3, 4))
         assert a == b and not a != b and hash(a) == hash(b)
         other = make(cls, **{cls._fields[0]: "other"}, span=a.span)
         assert a != other and not a == other

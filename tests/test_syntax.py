@@ -2,6 +2,7 @@
 
 import glob
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -16,8 +17,23 @@ from sbc.model import Gesture, Literal, OperationUse, Ref
 
 ALL_FIXTURES = sorted(glob.glob(str(FIXTURES / "**" / "*.sbd"), recursive=True))
 # the hand-written gate inputs that parse (cutoff.sbd is cut off mid-item)
-PARSED_GATE = [str(p) for p in sorted((Path(__file__).parent / "gate").glob("*.sbd"))
-               if syntax.parse(p.read_text(encoding="utf-8"), str(p)).ok]
+GATE = sorted(str(p) for p in (Path(__file__).parent / "gate").glob("*.sbd"))
+PARSED_GATE = [p for p in GATE if syntax.parse(Path(p).read_text(encoding="utf-8"), p).ok]
+
+
+def records(node):
+    """Every record in a model, the model included."""
+    if isinstance(node, tuple):
+        if hasattr(node, "_fields"):
+            yield node
+        for child in node:
+            yield from records(child)
+
+
+def lex_offsets(text):
+    """_lex's tokens, each token's offset, read through its source, and its diagnostics."""
+    toks, source, diags = syntax._lex(text, "t")
+    return toks, [source.offset(i) for i in range(len(toks))], diags
 
 
 class TestParse:
@@ -32,13 +48,6 @@ class TestParse:
         # count.  It also gives every record a span, which validate and the
         # flow analysis report as `holder.span`, and it decides the start
         # screen, which the interpreter reads as `model.start`.
-        def records(node):
-            if isinstance(node, tuple):
-                if hasattr(node, "_fields"):
-                    yield node
-                for child in node:
-                    yield from records(child)
-
         model = syntax.parse(Path(path).read_text(), path).model
         found = list(records(model))
         assert [r for r in found if len(r) != len(r._fields)] == []
@@ -173,7 +182,7 @@ class TestParse:
         # diagnostics, never to an exception: the parser reads several tokens
         # ahead of its position, also where the input ends.
         text = path.read_text(encoding="utf-8")
-        toks, offsets, _ = syntax._lex(text, "t")
+        toks, offsets, _ = lex_offsets(text)
         cuts = sorted({*offsets, *(o + len(t) for t, o in zip(toks, offsets))})
         assert len(cuts) > len(toks)
         for cut in cuts:
@@ -287,39 +296,43 @@ def kind(tok):
 
 
 def lex(text):
-    toks, offsets, diags = syntax._lex(text, "t")
-    assert len(offsets) == len(toks) and toks[-1] == "" and "" not in toks[:-1]
+    toks, offsets, diags = lex_offsets(text)
+    assert toks[-1] == "" and "" not in toks[:-1]
     return ([(kind(t), syntax._unquote(t) if kind(t) == "STRING" else t, text.count("\n", 0, o) + 1,
               o - text.rfind("\n", 0, o), len(t)) for t, o in zip(toks, offsets)],
             [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags])
 
 
+# (kind, text, line, column, length); a STRING's text is unescaped and its
+# length counts the quotes and the escapes
+LEX_CASES = [
+    (r'"a\"" x', [("STRING", 'a"', 1, 1, 5), ("IDENT", "x", 1, 7, 1), ("EOF", "", 1, 8, 0)], []),
+    (r'"a\\" "\q"', [("STRING", "a\\", 1, 1, 5), ("STRING", r"\q", 1, 7, 4), ("EOF", "", 1, 11, 0)], []),
+    ('"ab\\', [("EOF", "", 1, 5, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
+    ('x \\', [("IDENT", "x", 1, 1, 1), ("EOF", "", 1, 4, 0)], [("PAR001", "unexpected character '\\\\'", 1, 3, 1)]),
+    ('"a\\"\nb', [("IDENT", "b", 2, 1, 1), ("EOF", "", 2, 2, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
+    ("a\r\n b\r\n", [("IDENT", "a", 1, 1, 1), ("IDENT", "b", 2, 2, 1), ("EOF", "", 3, 1, 0)], []),
+    ("12ab 7", [("INT", "12", 1, 1, 2), ("IDENT", "ab", 1, 3, 2), ("INT", "7", 1, 6, 1), ("EOF", "", 1, 7, 0)], []),
+    ("trust-patterns a-b- -c", [("IDENT", "trust-patterns", 1, 1, 14), ("IDENT", "a-b-", 1, 16, 4),
+                                ("IDENT", "c", 1, 22, 1), ("EOF", "", 1, 23, 0)],
+     [("PAR001", "unexpected character '-'", 1, 21, 1)]),
+    ('"é²" é ²', [("STRING", "é²", 1, 1, 4), ("EOF", "", 1, 9, 0)],
+     [("PAR001", "unexpected character 'é'", 1, 6, 1), ("PAR001", "unexpected character '²'", 1, 8, 1)]),
+    ("x @@@ y", [("IDENT", "x", 1, 1, 1), ("IDENT", "y", 1, 7, 1), ("EOF", "", 1, 8, 0)],
+     [("PAR001", "3 unexpected characters starting with '@'", 1, 3, 3)]),
+    ("@a@", [("IDENT", "a", 1, 2, 1), ("EOF", "", 1, 4, 0)],
+     [("PAR001", "unexpected character '@'", 1, 1, 1), ("PAR001", "unexpected character '@'", 1, 3, 1)]),
+    ("a # c", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 6, 0)], []),
+    ("a \t ", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 5, 0)], []),
+    ("{}()[]=,.", [("PUNCT", c, 1, i, 1) for i, c in enumerate("{}()[]=,.", 1)] + [("EOF", "", 1, 10, 0)], []),
+]
+LEX_IDS = ["escaped-quote-last", "escaped-backslash-last", "backslash-at-eof", "backslash-outside-string",
+           "escaped-quote-at-newline", "crlf", "int-then-ident", "dash-in-ident", "non-ascii", "bad-run",
+           "bad-runs-apart", "comment-at-eof", "blanks-at-eof", "punctuation"]
+
+
 class TestLex:
-    # (kind, text, line, column, length); a STRING's text is unescaped and
-    # its length counts the quotes and the escapes
-    @pytest.mark.parametrize("text, tokens, diags", [
-        (r'"a\"" x', [("STRING", 'a"', 1, 1, 5), ("IDENT", "x", 1, 7, 1), ("EOF", "", 1, 8, 0)], []),
-        (r'"a\\" "\q"', [("STRING", "a\\", 1, 1, 5), ("STRING", r"\q", 1, 7, 4), ("EOF", "", 1, 11, 0)], []),
-        ('"ab\\', [("EOF", "", 1, 5, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
-        ('x \\', [("IDENT", "x", 1, 1, 1), ("EOF", "", 1, 4, 0)], [("PAR001", "unexpected character '\\\\'", 1, 3, 1)]),
-        ('"a\\"\nb', [("IDENT", "b", 2, 1, 1), ("EOF", "", 2, 2, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
-        ("a\r\n b\r\n", [("IDENT", "a", 1, 1, 1), ("IDENT", "b", 2, 2, 1), ("EOF", "", 3, 1, 0)], []),
-        ("12ab 7", [("INT", "12", 1, 1, 2), ("IDENT", "ab", 1, 3, 2), ("INT", "7", 1, 6, 1), ("EOF", "", 1, 7, 0)], []),
-        ("trust-patterns a-b- -c", [("IDENT", "trust-patterns", 1, 1, 14), ("IDENT", "a-b-", 1, 16, 4),
-                                    ("IDENT", "c", 1, 22, 1), ("EOF", "", 1, 23, 0)],
-         [("PAR001", "unexpected character '-'", 1, 21, 1)]),
-        ('"é²" é ²', [("STRING", "é²", 1, 1, 4), ("EOF", "", 1, 9, 0)],
-         [("PAR001", "unexpected character 'é'", 1, 6, 1), ("PAR001", "unexpected character '²'", 1, 8, 1)]),
-        ("x @@@ y", [("IDENT", "x", 1, 1, 1), ("IDENT", "y", 1, 7, 1), ("EOF", "", 1, 8, 0)],
-         [("PAR001", "3 unexpected characters starting with '@'", 1, 3, 3)]),
-        ("@a@", [("IDENT", "a", 1, 2, 1), ("EOF", "", 1, 4, 0)],
-         [("PAR001", "unexpected character '@'", 1, 1, 1), ("PAR001", "unexpected character '@'", 1, 3, 1)]),
-        ("a # c", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 6, 0)], []),
-        ("a \t ", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 5, 0)], []),
-        ("{}()[]=,.", [("PUNCT", c, 1, i, 1) for i, c in enumerate("{}()[]=,.", 1)] + [("EOF", "", 1, 10, 0)], []),
-    ], ids=["escaped-quote-last", "escaped-backslash-last", "backslash-at-eof", "backslash-outside-string",
-            "escaped-quote-at-newline", "crlf", "int-then-ident", "dash-in-ident", "non-ascii", "bad-run",
-            "bad-runs-apart", "comment-at-eof", "blanks-at-eof", "punctuation"])
+    @pytest.mark.parametrize("text, tokens, diags", LEX_CASES, ids=LEX_IDS)
     def test_golden(self, text, tokens, diags):
         assert lex(text) == (tokens, diags)
 
@@ -387,7 +400,7 @@ class TestLexProperties:
         rng = random.Random(19)
         for case in range(3000):
             text = "".join(rng.choice(LEX_PIECES) for _ in range(rng.randint(0, 40)))
-            toks, offsets, diags = syntax._lex(text, "t")
+            toks, offsets, diags = lex_offsets(text)
             want_tokens, want_errors = reference_lex(text)
             assert list(zip(toks, offsets)) == want_tokens, (case, text)
             assert [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags] == [
@@ -419,6 +432,67 @@ class TestEofColumn:
         assert [(d.code, d.span.line, d.span.column, d.span.length) for d in out.diagnostics] == [
             ("PAR001", 2, 25, 4), ("PAR002", 2, 29, 0), ("PAR002", 2, 29, 0)]
         assert out.diagnostics[1].message == "expected a value, found end of input"
+
+
+def assert_positions(text, file="t"):
+    """Parse text twice, and check every span of a record or a diagnostic
+    against the reference tokenizer: its line and column are those of its
+    offset, counted a character at a time, and its length is its token's or
+    its lexer error's.  A span's index is its token's index."""
+    out, again = syntax.parse(text, file), syntax.parse(text, file)
+    assert (out.model, out.diagnostics) == (again.model, again.diagnostics)
+    tokens, errors = reference_lex(text)
+    lexer = [d for d in out.diagnostics if d.code == "PAR001"]
+    assert [d.message for d in lexer] == [message for message, _, _ in errors]
+    placed = [(d.span, offset, length) for d, (_, offset, length) in zip(lexer, errors)]  # (span, offset, length)
+    for span in [r.span for r in records(out.model) if "span" in r._fields] + [
+            d.span for d in out.diagnostics if d.code != "PAR001"]:
+        token, offset = tokens[span.index]
+        placed.append((span, offset, len(token)))
+    assert placed
+    for span, offset, length in placed:
+        assert (span.file, span.line, span.column, span.length) == (file, *line_and_column(text, offset), length)
+
+
+class TestPositions:
+    @pytest.mark.parametrize("path", ALL_FIXTURES + GATE, ids=lambda p: Path(p).stem)
+    def test_files(self, path):
+        assert_positions(Path(path).read_text(encoding="utf-8"), path)
+
+    def test_generated_models(self):
+        for seed in range(300):
+            assert_positions(syntax.format_model(gen_model(seed)), f"gen{seed}")
+
+    @pytest.mark.parametrize("text", [case[0] for case in LEX_CASES], ids=LEX_IDS)
+    def test_lexer_errors(self, text):
+        assert_positions(text)
+
+    def test_a_fill_overtaken_at_any_line_keeps_every_position(self):
+        # Threads may race through the fill of a source's first read: run a
+        # whole second fill at each line of a first one, as a thread switch
+        # there would, and every position must still be right.
+        text = (FIXTURES / "messenger.sbd").read_text()
+        want = [(s.line, s.column) for s in self.spans(text)]
+        fill = syntax.Source._fill.__code__
+        for stop in sorted({line for _, _, line in fill.co_lines() if line and line > fill.co_firstlineno}):
+            spans, overtaken = self.spans(text), []
+
+            def in_fill(frame, event, arg):
+                if event == "line" and frame.f_lineno == stop and not overtaken:
+                    overtaken.append(spans[0].source.offset(0))  # trace functions run untraced
+                return in_fill
+
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: in_fill if frame.f_code is fill else None)
+            try:
+                got = [(s.line, s.column) for s in spans]
+            finally:
+                sys.settrace(previous)
+            assert overtaken and got == want, stop
+
+    @staticmethod
+    def spans(text):
+        return [r.span for r in records(syntax.parse(text, "t").model) if "span" in r._fields]
 
 
 def guard_model(guard):
