@@ -69,7 +69,7 @@ def _machine_line(d: Diagnostic, place: tuple[str, int, int], names: _Names) -> 
 
 def emit_diagnostics(findings: list[Diagnostic], fmt: str) -> None:
     """Print the findings in one write, sorted by file, line and code; each distinct span is placed once."""
-    places = {span: (span.file, *span.source.position(span.index)) for span in {d.span for d in findings}}
+    places = {span: (span.file, span.line, span.column) for span in {d.span for d in findings}}
     file_lines = {span: place[:2] for span, place in places.items()}
     ordered = sorted(findings, key=attrgetter("code"))  # by code, then stably by file and line
     ordered.sort(key=lambda d: file_lines[d.span])

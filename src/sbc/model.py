@@ -41,8 +41,8 @@ class SourceSpan(NamedTuple):
     length: int
 
     file = property(lambda self: self.source.file)
-    line = property(lambda self: self.source.position(self.index)[0])  # 1-based
-    column = property(lambda self: self.source.position(self.index)[1])  # 1-based
+    line = property(lambda self: self.source.position(self.index)[1])  # 1-based
+    column = property(lambda self: self.source.position(self.index)[2])  # 1-based
 
 
 class QualifiedId(NamedTuple):

@@ -52,6 +52,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate, islice
+from operator import methodcaller
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -129,6 +130,7 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
 _TOKEN = re.compile(rf"({_BLANKS}(?:(?:\#[^\n]*|{_STRING}(?![^\n])|{_BAD}){_BLANKS})*)"
                     rf"({_WORD}|[{{}}()\[\]=,.]|{_STRING}\"|[0-9]+|\Z)")
 _ONLY_BLANKS = re.compile(_BLANKS)
+_NEWLINES = re.compile("\n")
 # The errors in the joined skipped text, where a comment or an unterminated
 # string still ends at the newline, or the end, that is skipped with it, and a
 # run of characters that start no token may join the runs of two skips.
@@ -147,30 +149,28 @@ def _unquote(tok: str) -> str:
 
 class Source:
     """The file and text of one parse, shared by its spans, whose index is a token's
-    (a character offset if there are no split parts).  The first read works out the
-    offsets and line starts and drops the parts; threads may race, the fill is idempotent."""
+    (a character offset if there are no split parts).  The first read keeps the offset
+    of every 32nd token and the line starts; threads may race through that idempotent fill."""
 
     def __init__(self, file: str, text: str, parts: Optional[list[str]] = None):
         self.file, self.text, self.parts = file, text, parts
-        self.lines = None  # the token offsets (None without parts), then each line's offset and one past the end
+        self.lines = None  # the offsets of tokens 0, 32, 64 and on (None without parts), then the line starts
 
-    def offset(self, index: int) -> int:
-        offsets = (self.lines or self._fill())[0]
-        return index if offsets is None else offsets[index]
-
-    def position(self, index: int) -> tuple[int, int]:
-        """The line and the column of index, both from 1."""
-        offset, starts = self.offset(index), self.lines[1]
+    def position(self, index: int) -> tuple[int, int, int]:
+        """The offset of index, then its line and its column, both from 1."""
+        marks, starts = self.lines or self._fill()
+        offset = index
+        if marks is not None:  # a mark, and the text from its token to this one
+            k = index // 32
+            offset = marks[k] + sum(map(len, self.parts[96 * k + 2:3 * index + 2]))
         line = bisect_right(starts, offset)
-        return line, offset - starts[line - 1] + 1
+        return offset, line, offset - starts[line - 1] + 1
 
     def _fill(self) -> tuple[Optional[list[int]], list[int]]:
+        # Few ints, and no string per line: the fill runs while a command's output is held.
         parts = self.parts
-        lines = self.lines  # read after parts: a thread drops the parts only once lines is set
-        if lines is None:
-            offsets = None if parts is None else list(islice(accumulate(map(len, parts)), 1, None, 3))
-            self.lines = lines = offsets, list(accumulate(map((1).__add__, map(len, self.text.split("\n"))), initial=0))
-            self.parts = None
+        marks = None if parts is None else list(islice(accumulate(map(len, parts)), 1, None, 96))
+        self.lines = lines = marks, [0, *map(methodcaller("end"), _NEWLINES.finditer(self.text))]
         return lines
 
 
@@ -203,7 +203,7 @@ def _lex(text: str, file: str) -> tuple[list[str], Source, list[Diagnostic]]:
                     msg = f"unexpected character {m.string[i]!r}"
                 else:
                     msg = f"{n} unexpected characters starting with {m.string[i]!r}"
-                diags.append(Diagnostic("PAR001", msg, _new(SourceSpan, (chars, source.offset(k) - ends[k] + i, n))))
+                diags.append(Diagnostic("PAR001", msg, SourceSpan(chars, source.position(k)[0] - ends[k] + i, n)))
                 i += n
     return toks, source, diags
 

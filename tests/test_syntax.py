@@ -33,7 +33,7 @@ def records(node):
 def lex_offsets(text):
     """_lex's tokens, each token's offset, read through its source, and its diagnostics."""
     toks, source, diags = syntax._lex(text, "t")
-    return toks, [source.offset(i) for i in range(len(toks))], diags
+    return toks, [source.position(i)[0] for i in range(len(toks))], diags
 
 
 class TestParse:
@@ -479,7 +479,7 @@ class TestPositions:
 
             def in_fill(frame, event, arg):
                 if event == "line" and frame.f_lineno == stop and not overtaken:
-                    overtaken.append(spans[0].source.offset(0))  # trace functions run untraced
+                    overtaken.append(spans[0].source.position(0))  # trace functions run untraced
                 return in_fill
 
             previous = sys.gettrace()
