@@ -162,14 +162,14 @@ class Source:
         offset = index
         if marks is not None:  # a mark, and the text from its token to this one
             k = index // 32
-            offset = marks[k] + sum(map(len, self.parts[96 * k + 2:3 * index + 2]))
+            offset = marks[k] + sum(map(len, self.parts[3 * 32 * k + 2:3 * index + 2]))
         line = bisect_right(starts, offset)
         return offset, line, offset - starts[line - 1] + 1
 
     def _fill(self) -> tuple[Optional[list[int]], list[int]]:
         # Few ints, and no string per line: the fill runs while a command's output is held.
         parts = self.parts
-        marks = None if parts is None else list(islice(accumulate(map(len, parts)), 1, None, 96))
+        marks = None if parts is None else list(islice(accumulate(map(len, parts)), 1, None, 3 * 32))
         self.lines = lines = marks, [0, *map(methodcaller("end"), _NEWLINES.finditer(self.text))]
         return lines
 
