@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Optional
 
 from . import codegen, interp, rules, syntax
-from .model import AppModel, Diagnostic, validate
+from .model import AppModel, Diagnostic, Names, validate
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -38,49 +38,41 @@ def _use_color(stream) -> bool:
 _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 
-class _Names(dict):
-    """Name -> its text, formatted on first use; one per run."""
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, q):
-        self[q] = text = self.fmt(q)
-        return text
-
-
-def _human_line(d: Diagnostic, place: tuple[str, int, int], names: _Names) -> str:
+def _human_line(d: Diagnostic, head: str, names: Names) -> str:
     """`SEVERITY CODE FILE:LINE:COL MESSAGE`, and the witness on a second line."""
-    line = f"{d.severity} {d.code} {place[0]}:{place[1]}:{place[2]} {d.message}"
     if d.witness:
-        line += "\n    flow: " + " -> ".join(map(names.__getitem__, d.witness))
-    return line
+        return f"{head}{d.message}\n    flow: {' -> '.join(map(names.__getitem__, d.witness))}"
+    return head + d.message
 
 
-def _machine_line(d: Diagnostic, place: tuple[str, int, int], names: _Names) -> str:
+def _human_head(d: Diagnostic) -> str:
+    return f"{d.severity} {d.code} {d.span.file}:{d.span.line}:{d.span.column} "
+
+
+def _machine_line(d: Diagnostic, head: str, names: Names) -> str:
     """The finding as `json.dumps` writes its record, byte for byte."""
-    return (
-        f'{{"severity": {_json_str(d.severity)}, "code": {_json_str(d.code)}, '
-        f'"file": {_json_str(place[0])}, "line": {place[1]}, "col": {place[2]}, '
-        f'"message": {_json_str(d.message)}, "witness": [{", ".join(map(names.__getitem__, d.witness))}]}}'
-    )
+    return f'{head}{_json_str(d.message)}, "witness": [{", ".join(map(names.__getitem__, d.witness))}]}}'
+
+
+def _machine_head(d: Diagnostic) -> str:
+    return (f'{{"severity": {_json_str(d.severity)}, "code": {_json_str(d.code)}, '
+            f'"file": {_json_str(d.span.file)}, "line": {d.span.line}, "col": {d.span.column}, "message": ')
 
 
 def emit_diagnostics(findings: list[Diagnostic], fmt: str) -> None:
-    """Print the findings in one write, sorted by file, line and code; each distinct span is placed once."""
-    places = {span: (span.file, span.line, span.column) for span in {d.span for d in findings}}
-    file_lines = {span: place[:2] for span, place in places.items()}
+    """Print the findings in one write, sorted by file, line and code; the head
+    of a line (severity, code and place) is built once per (code, span)."""
+    file_lines = {span: (span.file, span.line) for span in {d.span for d in findings}}
     ordered = sorted(findings, key=attrgetter("code"))  # by code, then stably by file and line
     ordered.sort(key=lambda d: file_lines[d.span])
     if fmt == "machine":
-        names = _Names(lambda q: _json_str(str(q)))
-        lines = [_machine_line(d, places[d.span], names) for d in ordered]
+        head, line, names = _machine_head, _machine_line, Names(lambda q: _json_str(str(q)))
     else:
-        names = _Names(str)
-        lines = [_human_line(d, places[d.span], names) for d in ordered]
-        if _use_color(sys.stdout):
-            lines = [_COLORS[d.severity] + line + "\x1b[0m" for d, line in zip(ordered, lines)]
+        head, line, names = _human_head, _human_line, Names(str)
+    heads = {key: head(d) for key, d in {(d.code, d.span): d for d in findings}.items()}
+    lines = [line(d, heads[d.code, d.span], names) for d in ordered]
+    if fmt != "machine" and _use_color(sys.stdout):
+        lines = [_COLORS[d.severity] + text + "\x1b[0m" for d, text in zip(ordered, lines)]
     if lines:
         lines.append("")  # the last line's newline
         sys.stdout.write("\n".join(lines))
@@ -143,7 +135,7 @@ def _cmd_analyze(args) -> int:
 def _trace_lines(trace: interp.Trace) -> list[str]:
     """The trace as text: a line per step, with its store sorted by name, then a
     line per proxy exit."""
-    names = _Names(lambda q: f"{q}=")
+    names = Names(lambda q: f"{q}=")
 
     def store_text(values: dict) -> str:
         return ", ".join([names[k] + repr(values[k][0]) for k in sorted(values)])

@@ -11,19 +11,21 @@ The analysis runs in five steps:
    builtin catalog, and what the sources reach by graph search;
 4. `collect_safe`: the declassified (`safe`) edges and the IF003 warnings;
 5. `analyze`: the IF002 (confidentiality) and IF001 (integrity) diagnostics,
-   each with a deterministic witness path and the span of its last edge.
+   each with its least witness path (by length, then node names from the
+   source end) and the span of its last edge.
 
 `flow_diagnostics` builds the graph and the safe set once and passes them to
 every later step.
 
 `analyze` interns the nodes: it numbers them once in name order, so that
 comparing two numbers compares two names, and searches sorted int successor
-lists.  Each witness search (`_least_paths`, one per start) keeps only the
-breadth-first parent of each node it reaches; a witness is rebuilt from the
-parents only for a (source, sink) pair that is reported.
+lists.  IF002 takes one backward search per untrusted sink (`_paths_into`),
+which builds the witness of each node that leaks to it and nothing else;
+IF001 takes one forward search per untrusted source (`_least_paths`), whose
+breadth-first parents it walks back only for a reported pair.
 
 `closure` and `_least_paths` keep their names because the benchmark's tracer
-(perfbench/tracer.py) wraps them by name.
+(perfbench/tracer.py) wraps them by name; `_paths_into` counts in `analyze`.
 
 Guards never contribute control edges: all transition constraints are assumed
 satisfiable, so only data positions induce flows.
@@ -39,6 +41,7 @@ from .model import (
     OPERATION,
     AppModel,
     Diagnostic,
+    Names,
     OperationUse,
     QualifiedId,
     Ref,
@@ -47,6 +50,7 @@ from .model import (
     builtin_cap,
     qualify,
 )
+from .syntax import _new
 
 Edge = tuple[QualifiedId, QualifiedId]
 
@@ -289,19 +293,37 @@ def _witness(parent: dict[int, int], start: int, node: int, names: list[Qualifie
     return tuple(path)
 
 
+def _paths_into(sink: int, pred: list[list[int]], names: list[QualifiedId]) -> dict[int, tuple[QualifiedId, ...]]:
+    """The least path into sink from every node that reaches it.  A backward
+    search that takes each level in name order meets a node first from its
+    least successor one step nearer, whose least path is the rest of its own."""
+    paths = {sink: (names[sink],)}
+    level = [sink]
+    while level:
+        nearer, level = level, []
+        for node in nearer:
+            for m in pred[node]:
+                if m not in paths:
+                    paths[m] = (names[m],) + paths[node]
+                    level.append(m)
+        level.sort()
+    return paths
+
+
 def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> list[Diagnostic]:
     trust = classify_endpoints(model, graph)
     roles = graph.roles
 
     unsafe = graph.edges - safe
     names, index, succ, pred = _number(graph.nodes, unsafe)
+    text = Names(lambda n: str(names[n]))
     sources = sorted(index[q] for q in trust.untrusted_sources)
     sinks = sorted(index[q] for q in trust.untrusted_sinks)
 
-    # Only untrusted sources (integrity) and nodes with an unsafe path into an untrusted sink
-    # (confidentiality) can start a witness; in a model that passes `validate`, both ends of an edge have a role.
-    leaks = sorted(_reach(sinks, pred))
-    parents = {n: _least_paths(n, succ) for n in set(sources).union(leaks)}
+    # Confidentiality: a node leaks to each untrusted sink it has an unsafe path into (a witness
+    # has at least one edge); in a model that passes `validate`, both ends of an edge have a role.
+    tables = [(k, _paths_into(k, pred, names)) for k in sinks]
+    leaks = sorted(set().union(*(table for _, table in tables)))
 
     # Integrity: a widget or operation consumes, along an unsafe direct edge,
     # a value attributable to an untrusted source.
@@ -309,19 +331,21 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
     tainted |= {u for u in trust.untrusted_sources if roles.get(u) is Role.OP}
     consumers = sorted({index[k] for u, k in unsafe if u in tainted and roles.get(k) in (Role.WIDGET, Role.OP)})
 
-    # Report order: confidentiality (IF002) before integrity (IF001), then by
-    # source and sink name.  A witness has at least one edge, so k != s.
-    out: list[Diagnostic] = []
-    for code, what, starts, ends in (("IF002", "value leaks to untrusted sink", leaks, sinks),
-                                     ("IF001", "untrusted value reaches", sources, consumers)):
-        for s in starts:
-            parent = parents[s]
-            for k in ends:
+    def found():
+        """(code, message head, source, sink, witness) of each finding, one at a time, in report
+        order: confidentiality (IF002) before integrity (IF001), then by source and sink name."""
+        for s in leaks:
+            for k, table in tables:
+                if k != s and s in table:
+                    yield "IF002", "value leaks to untrusted sink", s, k, table[s]
+        for s in sources:
+            parent = _least_paths(s, succ)
+            for k in consumers:
                 if k != s and k in parent:
-                    witness = _witness(parent, s, k, names)
-                    message = f"{what} '{names[k]}' from '{names[s]}'"
-                    out.append(Diagnostic(code, message, graph.edge_origin[witness[-2:]], witness))
-    return out
+                    yield "IF001", "untrusted value reaches", s, k, _witness(parent, s, k, names)
+
+    return [_new(Diagnostic, (code, f"{what} '{text[k]}' from '{text[s]}'", graph.edge_origin[witness[-2:]], witness))
+            for code, what, s, k, witness in found()]
 
 
 def flow_diagnostics(model: AppModel) -> list[Diagnostic]:

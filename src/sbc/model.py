@@ -65,6 +65,17 @@ def qualify(ident: str, owner: str) -> QualifiedId:
     return QualifiedId(ident, owner)
 
 
+class Names(dict):
+    """A name, or its number -> its text, formatted on first use; one per run."""
+
+    def __init__(self, fmt):
+        self.fmt = fmt  # an empty dict needs no dict.__init__
+
+    def __missing__(self, q):
+        self[q] = text = self.fmt(q)
+        return text
+
+
 # The codes whose findings are warnings; every other code is an error.
 WARNINGS = frozenset({"IF003", "RC003", "RC004", "RC006"})
 

@@ -100,8 +100,8 @@ def oracle_least_paths(start, succ):
     every reachable node, over the unsafe edge set.  Dijkstra with a composite
     key: extending a path only ever increases the key.
 
-    Independent of infoflow._least_paths, a breadth-first search; used as
-    its test oracle."""
+    Independent of infoflow._least_paths (a forward breadth-first search)
+    and infoflow._paths_into (a backward one); used as their test oracle."""
     best = {}
     heap = [((1, (str(start),)), (start,))]
     while heap:

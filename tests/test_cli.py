@@ -75,6 +75,17 @@ HAND_BUILT = [
                span_at('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
                                                             qualify("naïve", "S"))),
 ]
+# Findings at one place, in emission order: the line head is built once per
+# (code, span), so the second IF002 reuses the first one's head and the IF003
+# warning at the same span gets its own.
+SHARED = span_at("z.sbd", 1, 5)
+SAME_PLACE = [
+    Diagnostic("IF002", "value leaks to untrusted sink 'send' from 'a@S'", SHARED,
+               witness=(qualify("a", "S"), qualify("send", OPERATION))),
+    Diagnostic("IF002", "value leaks to untrusted sink 'send' from 'b@S'", SHARED,
+               witness=(qualify("b", "S"), qualify("a", "S"), qualify("send", OPERATION))),
+    Diagnostic("IF003", "safe mark on widget 'a' declassifies no flow", SHARED),
+]
 
 
 class Writes(io.StringIO):
@@ -106,20 +117,25 @@ class TestEmission:
     def test_machine_lines_are_json_dumps_of_the_record(self, monkeypatch):
         out = Writes()
         monkeypatch.setattr("sys.stdout", out)
-        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "machine")
-        assert out.getvalue() == "".join(json.dumps(record(d)) + "\n" for d in HAND_BUILT)
+        cli.emit_diagnostics(SAME_PLACE + list(reversed(HAND_BUILT)), "machine")
+        assert out.getvalue() == "".join(json.dumps(record(d)) + "\n" for d in HAND_BUILT + SAME_PLACE)
         assert out.calls == 1
 
     def test_human_color_output(self, monkeypatch):
         monkeypatch.setenv("SBC_COLOR", "1")
         out = Writes()
         monkeypatch.setattr("sys.stdout", out)
-        cli.emit_diagnostics(list(reversed(HAND_BUILT)), "human")
+        cli.emit_diagnostics(SAME_PLACE + list(reversed(HAND_BUILT)), "human")
         assert out.getvalue() == (
             "\x1b[33mwarning IF003 a.sbd:1:9 safe mark on proxy 'P' declassifies no flow\x1b[0m\n"
             '\x1b[31merror RC002 a.sbd:2:1 WebView "w" has no trust-patterns whitelist\x1b[0m\n'
             '\x1b[31merror IF001 dir "q"\\é.sbd:3:7 untrusted value reaches \'naïve@S\' from \'y@S\'\n'
             "    flow: y@S -> f -> naïve@S\x1b[0m\n"
+            "\x1b[31merror IF002 z.sbd:1:5 value leaks to untrusted sink 'send' from 'a@S'\n"
+            "    flow: a@S -> send\x1b[0m\n"
+            "\x1b[31merror IF002 z.sbd:1:5 value leaks to untrusted sink 'send' from 'b@S'\n"
+            "    flow: b@S -> a@S -> send\x1b[0m\n"
+            "\x1b[33mwarning IF003 z.sbd:1:5 safe mark on widget 'a' declassifies no flow\x1b[0m\n"
         )
         assert out.calls == 1
 

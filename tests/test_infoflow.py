@@ -290,3 +290,45 @@ class TestLeastPaths:
         assert paths[q("t")] == (q("a"), q("b"), q("z"), q("t"))
         assert paths[q("d")] == (q("a"), q("c"), q("d"))
         self.assert_matches_oracle(nodes, edges, "hand-built")
+
+
+class TestPathsInto:
+    """The per-sink witness tables against the Dijkstra oracle: for every node
+    k, the table of k holds exactly the nodes that reach k, each with its
+    least path into k."""
+
+    @staticmethod
+    def tables(nodes, edges):
+        names, index, succ, pred = infoflow._number(set(nodes).union(*edges), edges)
+        return {k: {names[n]: path for n, path in infoflow._paths_into(index[k], pred, names).items()}
+                for k in names}
+
+    def assert_matches_oracle(self, nodes, edges, label):
+        oracle_succ = {}
+        for a, b in edges:  # built apart from _number, in the given order
+            oracle_succ.setdefault(a, []).append(b)
+        oracle = {n: oracle_least_paths(n, oracle_succ) for n in set(nodes).union(*edges)}
+        for k, table in self.tables(nodes, edges).items():
+            assert table == {n: paths[k] for n, paths in oracle.items() if k in paths}, f"{label}: {k}"
+
+    def test_fixtures(self):
+        paths = sorted(FIXTURES.glob("**/*.sbd"))
+        assert len(paths) > 30
+        for path in paths:
+            nodes, edges = _unsafe_graph(load_fixture(str(path.relative_to(FIXTURES))))
+            self.assert_matches_oracle(nodes, edges, path.name)
+
+    def test_random_models(self):
+        for seed in range(300):
+            nodes, edges = _unsafe_graph(gen_model(seed))
+            self.assert_matches_oracle(nodes, edges, f"seed {seed}")
+
+    def test_least_successor_not_first_met(self):
+        # TestLeastPaths' graph: from t the backward search meets d before z,
+        # yet a's witness into t goes through b, the lesser of a's successors
+        # one step nearer, and so through z.
+        edges = [(q("a"), q("c")), (q("c"), q("d")), (q("d"), q("t")),
+                 (q("a"), q("b")), (q("b"), q("z")), (q("z"), q("t"))]
+        nodes = [q(n) for n in "abcdzt"]
+        assert self.tables(nodes, edges)[q("t")][q("a")] == (q("a"), q("b"), q("z"), q("t"))
+        self.assert_matches_oracle(nodes, edges, "hand-built")
