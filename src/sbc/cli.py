@@ -69,7 +69,8 @@ def emit_diagnostics(findings: list[Diagnostic], fmt: str) -> None:
         head, line, names = _machine_head, _machine_line, Names(lambda q: _json_str(str(q)))
     else:
         head, line, names = _human_head, _human_line, Names(str)
-    heads = {key: head(d) for key, d in {(d.code, d.span): d for d in findings}.items()}
+    samples = {(d.code, d.span): d for d in findings}  # a finding of each distinct (code, span)
+    heads = {key: head(d) for key, d in samples.items()}
     lines = [line(d, heads[d.code, d.span], names) for d in ordered]
     if fmt != "machine" and _use_color(sys.stdout):
         lines = [_COLORS[d.severity] + text + "\x1b[0m" for d, text in zip(ordered, lines)]
