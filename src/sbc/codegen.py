@@ -41,8 +41,7 @@ class ValueType(Enum):
     OPAQUE = "opaque"
 
 
-class OpSignature(NamedTuple):
-    name: str
+class OpSignature(NamedTuple):  # keyed by its operation's name
     param_types: tuple[ValueType, ...]
     return_type: ValueType
     capability: Optional[tuple[str, str]]
@@ -100,7 +99,7 @@ def infer_signatures(model: AppModel) -> dict[str, OpSignature]:
         params[op.name] = tuple(t if t is u else ValueType.OPAQUE for t, u in zip(seen, ptypes))
         if op.capability is not None:
             caps[op.name] = op.capability
-    return {name: OpSignature(name, params[name], return_type(name), caps.get(name)) for name in sorted(params)}
+    return {name: OpSignature(params[name], return_type(name), caps.get(name)) for name in sorted(params)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ The analysis runs in five steps:
    every later step reads;
 2. `closure`: reflexive-transitive reachability, which only tests build;
 3. `classify_endpoints`: the untrusted sources and sinks, against the
-   builtin catalog, and what the sources reach by graph search;
+   builtin catalog, and what the sources reach;
 4. `collect_safe`: the declassified (`safe`) edges and the IF003 warnings;
 5. `analyze`: the IF002 (confidentiality) and IF001 (integrity) diagnostics,
    each with its least witness path (by length, then node names from the
@@ -22,10 +22,12 @@ comparing two numbers compares two names, and searches sorted int successor
 lists.  IF002 takes one backward search per untrusted sink (`_paths_into`),
 which builds the witness of each node that leaks to it and nothing else;
 IF001 takes one forward search per untrusted source (`_least_paths`), whose
-breadth-first parents it walks back only for a reported pair.
+breadth-first parents it walks back only for a reported pair.  Steps 2 and 3
+keep only the keys of that same search over `graph.succ`.
 
 `closure` and `_least_paths` keep their names because the benchmark's tracer
-(perfbench/tracer.py) wraps them by name; `_paths_into` counts in `analyze`.
+(perfbench/tracer.py) wraps them by name, so it counts classification's search
+with IF001's; `_paths_into` counts in `analyze`.
 
 Guards never contribute control edges: all transition constraints are assumed
 satisfiable, so only data positions induce flows.
@@ -48,7 +50,6 @@ from .model import (
     SourceSpan,
     Trust,
     builtin_cap,
-    qualify,
 )
 from .syntax import _new
 
@@ -96,9 +97,9 @@ class InfluenceGraph(NamedTuple):
 def _value_node(v, owner: str) -> Optional[QualifiedId]:
     """The graph node a value reference denotes, or None for literals."""
     if isinstance(v, Ref):
-        return qualify(v.name, owner)
+        return QualifiedId(v.name, owner)
     if isinstance(v, OperationUse):
-        return qualify(v.name, OPERATION)
+        return QualifiedId(v.name, OPERATION)
     return None
 
 
@@ -106,10 +107,10 @@ def _flow(s, t, holder) -> QualifiedId:
     """The node a value position of `sites` flows into; its edge's span is
     `holder.span`.  Guard terms (`holder is t`) flow nowhere."""
     if isinstance(holder, OperationUse):
-        return qualify(holder.name, OPERATION)
+        return QualifiedId(holder.name, OPERATION)
     if t is None:  # a widget's value
-        return qualify(holder.id, s.name)
-    return qualify(holder.target, t.dest)  # a binding's value
+        return QualifiedId(holder.id, s.name)
+    return QualifiedId(holder.target, t.dest)  # a binding's value
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +121,14 @@ def build_influences(model: AppModel) -> InfluenceGraph:
     roles: dict[QualifiedId, Role] = {}
     for s in model.screens:
         for p in s.all_params:
-            roles[qualify(p, s.name)] = Role.PARAM
+            roles[QualifiedId(p, s.name)] = Role.PARAM
         for w in s.widgets:
-            roles[qualify(w.id, s.name)] = Role.WIDGET
+            roles[QualifiedId(w.id, s.name)] = Role.WIDGET
     for p in model.proxies:
         for pn in p.uri.params:
-            roles[qualify(pn, p.name)] = Role.PROXY_PARAM
+            roles[QualifiedId(pn, p.name)] = Role.PROXY_PARAM
     for _, op in model.operations:
-        roles[qualify(op.name, OPERATION)] = Role.OP
+        roles[QualifiedId(op.name, OPERATION)] = Role.OP
 
     graph = InfluenceGraph(roles, {}, defaultdict(list), defaultdict(list))
     for s, t, holder, _, v in model.positions:
@@ -147,21 +148,26 @@ def build_influences(model: AppModel) -> InfluenceGraph:
 # Step 2: reachability by search (the test oracle recomputes it independently)
 
 
-def _reach(starts, succ) -> set:
-    """Every node reachable from `starts` over `succ`, the starts included."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for m in succ[stack.pop()]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen
+def _least_paths(starts, succ) -> dict:
+    """The breadth-first parent of every node reachable from starts over succ
+    (each start is its own parent).  From one start, over nodes numbered in
+    name order with sorted successor lists, the search dequeues each level in
+    least-path order and meets each node first along its lexicographically
+    least path (by length, then node names): that path is its parent's plus
+    the node."""
+    parent = {s: s for s in starts}
+    queue = list(parent)
+    for node in queue:  # appending while iterating makes the list a FIFO queue
+        for m in succ[node]:
+            if m not in parent:
+                parent[m] = node
+                queue.append(m)
+    return parent
 
 
 def closure(graph: InfluenceGraph) -> ClosureRelation:
     nodes = set(graph.nodes).union(*graph.edges)
-    return ClosureRelation(frozenset((a, b) for a in nodes for b in _reach((a,), graph.succ)))
+    return ClosureRelation(frozenset((a, b) for a in nodes for b in _least_paths((a,), graph.succ)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +193,10 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
 
     for s in model.screens:
         for p in s.uri_params:
-            sources.add(qualify(p, s.name))
+            sources.add(QualifiedId(p, s.name))
 
     for _, op in model.operations:
-        f = qualify(op.name, OPERATION)
+        f = QualifiedId(op.name, OPERATION)
         if _op_source_untrusted(model, op):
             sources.add(f)
         if _op_untrusted(model, op, "sink_trust"):
@@ -199,10 +205,9 @@ def classify_endpoints(model: AppModel, graph: InfluenceGraph) -> TrustMap:
     for p in model.proxies:
         if p.app_id is None and not p.safe:
             for pn in p.uri.params:
-                sinks.add(qualify(pn, p.name))
+                sinks.add(QualifiedId(pn, p.name))
 
-    reachable = _reach(sources, graph.succ)
-    return TrustMap(frozenset(sources), frozenset(sinks), frozenset(reachable))
+    return TrustMap(frozenset(sources), frozenset(sinks), frozenset(_least_paths(sources, graph.succ)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,7 @@ def collect_safe(model: AppModel, graph: InfluenceGraph) -> tuple[frozenset[Edge
         if p.safe or p.app_id is not None:
             touched = False
             for pn in p.uri.params:
-                q = qualify(pn, p.name)
+                q = QualifiedId(pn, p.name)
                 for m in graph.pred.get(q, ()):
                     safe.add((m, q))
                     touched = True
@@ -265,22 +270,6 @@ def _number(nodes, edges) -> tuple[list[QualifiedId], dict[QualifiedId, int], li
         succ[a].append(b)
         pred[b].append(a)
     return names, index, succ, pred
-
-
-def _least_paths(start: int, succ: list[list[int]]) -> dict[int, int]:
-    """The breadth-first parent of every node reachable from start (start is
-    its own parent).  Nodes are numbered in name order and successor lists
-    are sorted, so the search dequeues each level in least-path order and
-    meets each node first along its lexicographically least path (by
-    length, then node names): that path is its parent's plus the node."""
-    parent = {start: start}
-    queue = [start]
-    for node in queue:  # appending while iterating makes the list a FIFO queue
-        for m in succ[node]:
-            if m not in parent:
-                parent[m] = node
-                queue.append(m)
-    return parent
 
 
 def _witness(parent: dict[int, int], start: int, node: int, names: list[QualifiedId]) -> tuple[QualifiedId, ...]:
@@ -339,7 +328,7 @@ def analyze(model: AppModel, graph: InfluenceGraph, safe: frozenset[Edge]) -> li
                 if k != s and s in table:
                     yield "IF002", "value leaks to untrusted sink", s, k, table[s]
         for s in sources:
-            parent = _least_paths(s, succ)
+            parent = _least_paths((s,), succ)
             for k in consumers:
                 if k != s and k in parent:
                     yield "IF001", "untrusted value reaches", s, k, _witness(parent, s, k, names)

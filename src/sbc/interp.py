@@ -17,8 +17,9 @@ is a constant Value, a name a store lookup with its env default fixed, and an
 operation a callable whose capability verdict, source taint and arguments are
 settled.  A step refills that store from its configuration and runs the plan.
 
-Scenario files (`.scn`) are line-oriented; a line ends at `\n`, and one `\r`
-before it is dropped, so that CRLF files read as LF ones:
+Scenario files (`.scn`) are line-oriented.  `parse_scenario` takes LF text and
+ends a line at `\n` alone; the CLI reads every file in text mode, which turns
+CRLF and a lone CR into LF:
 
     launch                          | launch uri "app://contacts/{y}" y="0123"
     click <Widget> | swipe <Widget> | drag <Widget>
@@ -160,8 +161,6 @@ def parse_scenario(text: str, file: str = "<scenario>") -> Scenario:
     op_results: list[tuple[str, Union[str, bool]]] = []
     uri_env: list[tuple[str, str]] = []
     stop_after = None
-    if "\r" in text:  # a CRLF file: each line loses one trailing "\r"
-        text = "\n".join(line[:-1] if line[-1:] == "\r" else line for line in text.split("\n"))
     read: dict[str, tuple[str, object]] = {}  # each distinct line is read once
     for lineno, line in enumerate(text.split("\n"), 1):
         d = read.get(line)

@@ -2,7 +2,8 @@
 
 The types here are `typing.NamedTuple` records, immutable because tuples are,
 and so safe to share between threads; `record` makes each a value type.  A
-`SourceSpan` reads its place through a `syntax.Source`, whose lazy fill is idempotent.
+`SourceSpan` is `(source, index)` and reads its place through its
+`syntax.Source`, whose lazy fill is idempotent.
 `AppModel` keeps, each built once on first use, its declarations by name and
 its value positions (`sites`), which validation, the flow analysis, the rules
 and code generation all read.  Validation is pure: the same model always
@@ -38,7 +39,6 @@ def record(cls):
 class SourceSpan(NamedTuple):
     source: "Source"  # syntax.Source
     index: int
-    length: int
 
     file = property(lambda self: self.source.file)
     line = property(lambda self: self.source.position(self.index)[1])  # 1-based
@@ -56,13 +56,6 @@ class QualifiedId(NamedTuple):
         if self.owner == OPERATION:
             return self.base
         return f"{self.base}@{self.owner}"
-
-
-def qualify(ident: str, owner: str) -> QualifiedId:
-    """Qualify an identifier by its owning screen (or OPERATION)."""
-    if not ident:
-        raise ValueError("empty identifier")
-    return QualifiedId(ident, owner)
 
 
 class Names(dict):
@@ -350,15 +343,13 @@ class Trust(Enum):
 
 @record
 class BuiltinCap(NamedTuple):
-    resource: str
-    capability: str
     source_trust: Trust
     sink_trust: Trust
     tags: frozenset[str] = frozenset()
 
 
 def _cap(r, c, src, snk, *tags):
-    return ((r, c), BuiltinCap(r, c, src, snk, frozenset(tags)))
+    return ((r, c), BuiltinCap(src, snk, frozenset(tags)))
 
 
 _T, _U, _N = Trust.TRUSTED, Trust.UNTRUSTED, Trust.NONE

@@ -203,7 +203,7 @@ def _lex(text: str, file: str) -> tuple[list[str], Source, list[Diagnostic]]:
                     msg = f"unexpected character {m.string[i]!r}"
                 else:
                     msg = f"{n} unexpected characters starting with {m.string[i]!r}"
-                diags.append(Diagnostic("PAR001", msg, SourceSpan(chars, source.position(k)[0] - ends[k] + i, n)))
+                diags.append(Diagnostic("PAR001", msg, SourceSpan(chars, source.position(k)[0] - ends[k] + i)))
                 i += n
     return toks, source, diags
 
@@ -236,7 +236,7 @@ class _Parser:
     # -- token plumbing -----------------------------------------------------
 
     def span(self, i: int) -> SourceSpan:
-        return _new(SourceSpan, (self.source, i, len(self.toks[i])))
+        return _new(SourceSpan, (self.source, i))
 
     def at(self, text: str) -> bool:
         return self.toks[self.pos] == text

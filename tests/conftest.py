@@ -24,10 +24,10 @@ def shown(diags):
     return [(d.code, d.message, f"{d.span.file}:{d.span.line}:{d.span.column}") for d in diags]
 
 
-def span_at(file: str, line: int, column: int, length: int = 0) -> SourceSpan:
+def span_at(file: str, line: int, column: int) -> SourceSpan:
     """A span built by hand: a character offset in a text of blank lines and
     blanks that puts it at line and column."""
-    return SourceSpan(syntax.Source(file, "\n" * (line - 1) + " " * (column - 1)), line + column - 2, length)
+    return SourceSpan(syntax.Source(file, "\n" * (line - 1) + " " * (column - 1)), line + column - 2)
 
 
 def load_fixture(name: str):

@@ -15,12 +15,12 @@ from conftest import FIXTURES, flow, load_fixture, oracle_flows, taint_pairs, vi
 
 from modelgen import gen_model, gen_scenario
 from sbc import cli, codegen, infoflow, interp, rules, syntax
-from sbc.model import OPERATION, qualify
+from sbc.model import OPERATION, QualifiedId
 
 
 def q(s):
     base, _, owner = s.partition("@")
-    return qualify(base, owner or OPERATION)
+    return QualifiedId(base, owner or OPERATION)
 
 
 def verdict(number, label):

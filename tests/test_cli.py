@@ -13,7 +13,7 @@ from conftest import FIXTURES, ILL_FORMED, span_at
 from golden import SCENARIO_WORDS, WORDS, mutate, mutate_scenario
 
 from sbc import cli, codegen, infoflow, interp, model, rules, syntax
-from sbc.model import OPERATION, Diagnostic, qualify, validate
+from sbc.model import OPERATION, Diagnostic, QualifiedId, validate
 
 
 def fixture(name):
@@ -71,9 +71,8 @@ class TestExitCodes:
 HAND_BUILT = [
     Diagnostic("IF003", "safe mark on proxy 'P' declassifies no flow", span_at("a.sbd", 1, 9)),
     Diagnostic("RC002", 'WebView "w" has no trust-patterns whitelist', span_at("a.sbd", 2, 1)),
-    Diagnostic("IF001", "untrusted value reaches 'naïve@S' from 'y@S'",
-               span_at('dir "q"\\é.sbd', 3, 7), witness=(qualify("y", "S"), qualify("f", OPERATION),
-                                                            qualify("naïve", "S"))),
+    Diagnostic("IF001", "untrusted value reaches 'naïve@S' from 'y@S'", span_at('dir "q"\\é.sbd', 3, 7),
+               witness=(QualifiedId("y", "S"), QualifiedId("f", OPERATION), QualifiedId("naïve", "S"))),
 ]
 # Findings at one place, in emission order: the line head is built once per
 # (code, span), so the second IF002 reuses the first one's head and the IF003
@@ -81,9 +80,9 @@ HAND_BUILT = [
 SHARED = span_at("z.sbd", 1, 5)
 SAME_PLACE = [
     Diagnostic("IF002", "value leaks to untrusted sink 'send' from 'a@S'", SHARED,
-               witness=(qualify("a", "S"), qualify("send", OPERATION))),
+               witness=(QualifiedId("a", "S"), QualifiedId("send", OPERATION))),
     Diagnostic("IF002", "value leaks to untrusted sink 'send' from 'b@S'", SHARED,
-               witness=(qualify("b", "S"), qualify("a", "S"), qualify("send", OPERATION))),
+               witness=(QualifiedId("b", "S"), QualifiedId("a", "S"), QualifiedId("send", OPERATION))),
     Diagnostic("IF003", "safe mark on widget 'a' declassifies no flow", SHARED),
 ]
 
@@ -275,6 +274,23 @@ class TestSimulate:
         default = run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", scenario)
         assert run(capsys, "simulate", fixture("messenger.sbd"), "--scenario", scenario, "--budget", "0") == default
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_read_as_lf_files(self, capsys, tmp_path, monkeypatch, newline):
+        # the CLI reads in text mode, so parse_scenario and the lexer see LF text
+        runs = []
+        for nl in ("\n", newline):
+            home = tmp_path / ("lf" if nl == "\n" else "other")
+            home.mkdir()
+            for name in ("messenger.sbd", "scenarios/messenger_run.scn"):
+                text = (FIXTURES / name).read_text(encoding="utf-8")
+                (home / name.split("/")[-1]).write_bytes(text.replace("\n", nl).encode("utf-8"))
+            monkeypatch.chdir(home)  # the same relative paths, so the same output
+            runs.append([run(capsys, "simulate", "messenger.sbd", "--scenario", "messenger_run.scn"),
+                         run(capsys, "analyze", "messenger.sbd")])
+        assert runs[0] == runs[1]
+        (code, out, _), (analyzed, findings, _) = runs[0]
+        assert (code, analyzed) == (1, 1) and "\ntransition: SaveStatus []\n" in out and "IF001" in findings
+
     @pytest.mark.parametrize("what, code", [("directory", errno.EISDIR), ("missing", errno.ENOENT)])
     def test_unreadable_scenario_path(self, capsys, tmp_path, what, code):
         path = str(tmp_path if what == "directory" else tmp_path / "no.scn")
@@ -424,9 +440,9 @@ class TestCheck:
     @pytest.mark.parametrize("tail, diags", [
         (" " * 100_000, []),
         (" \t\r" * 33_334, []),
-        ('\n"' + "x" * 1_000_000, [("PAR001", 3, 1, 1_000_001)]),
+        ('\n"' + "x" * 1_000_000, [("PAR001", 3, 1)]),
         ("#" * 200_000, []),
-        ("@" * 300_000, [("PAR001", 2, 13, 300_000)]),
+        ("@" * 300_000, [("PAR001", 2, 13)]),
     ], ids=["spaces", "tabs-and-crs", "unterminated-string", "comment", "bad-characters"])
     def test_long_tail_read_in_linear_time(self, capsys, tmp_path, tail, diags):
         # blanks, a comment, a string or a run of bad characters that run to
@@ -435,7 +451,7 @@ class TestCheck:
         t0 = time.perf_counter()
         out = syntax.parse(text, "t")
         assert time.perf_counter() - t0 < 1
-        assert [(d.code, d.span.line, d.span.column, d.span.length) for d in out.diagnostics] == diags
+        assert [(d.code, d.span.line, d.span.column) for d in out.diagnostics] == diags
         p = tmp_path / "x.sbd"
         p.write_text(text, encoding="utf-8")
         t0 = time.perf_counter()

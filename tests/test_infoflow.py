@@ -6,13 +6,13 @@ from conftest import FIXTURES, flow, load_fixture, oracle_flows, oracle_least_pa
 from golden import rename
 
 from sbc import infoflow, syntax
-from sbc.model import OPERATION, qualify, validate
+from sbc.model import OPERATION, QualifiedId, validate
 from modelgen import gen_model
 
 
 def q(s):
     base, _, owner = s.partition("@")
-    return qualify(base, owner or OPERATION)
+    return QualifiedId(base, owner or OPERATION)
 
 
 def edge_strs(edges):
@@ -258,7 +258,7 @@ class TestLeastPaths:
         """The least path from start to every node it reaches, each rebuilt
         from _least_paths' parents over the numbered graph."""
         names, index, succ, _ = infoflow._number(set(nodes).union(*edges), edges)
-        parent = infoflow._least_paths(index[start], succ)
+        parent = infoflow._least_paths((index[start],), succ)
         return {names[n]: self.path(parent, n, names) for n in parent}
 
     def assert_matches_oracle(self, nodes, edges, label):
@@ -290,6 +290,16 @@ class TestLeastPaths:
         assert paths[q("t")] == (q("a"), q("b"), q("z"), q("t"))
         assert paths[q("d")] == (q("a"), q("c"), q("d"))
         self.assert_matches_oracle(nodes, edges, "hand-built")
+
+    def test_several_starts(self):
+        # what classify_endpoints reads: the nodes that any of the starts reaches
+        for seed in range(100):
+            nodes, edges = _unsafe_graph(gen_model(seed))
+            _, index, succ, _ = infoflow._number(set(nodes).union(*edges), edges)
+            starts = sorted(index.values())[::3]
+            parent = infoflow._least_paths(starts, succ)
+            assert set(parent) == set().union(*(infoflow._least_paths((s,), succ) for s in starts)), f"seed {seed}"
+            assert all(parent[s] == s for s in starts), f"seed {seed}"
 
 
 class TestPathsInto:

@@ -300,28 +300,29 @@ def lex(text):
     assert toks[-1] == "" and "" not in toks[:-1]
     return ([(kind(t), syntax._unquote(t) if kind(t) == "STRING" else t, text.count("\n", 0, o) + 1,
               o - text.rfind("\n", 0, o), len(t)) for t, o in zip(toks, offsets)],
-            [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags])
+            [(d.code, d.message, d.span.line, d.span.column) for d in diags])
 
 
-# (kind, text, line, column, length); a STRING's text is unescaped and its
-# length counts the quotes and the escapes
+# (kind, text, line, column, length) of each token, a STRING's text unescaped
+# and its length counting the quotes and the escapes; (code, message, line,
+# column) of each diagnostic
 LEX_CASES = [
     (r'"a\"" x', [("STRING", 'a"', 1, 1, 5), ("IDENT", "x", 1, 7, 1), ("EOF", "", 1, 8, 0)], []),
     (r'"a\\" "\q"', [("STRING", "a\\", 1, 1, 5), ("STRING", r"\q", 1, 7, 4), ("EOF", "", 1, 11, 0)], []),
-    ('"ab\\', [("EOF", "", 1, 5, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
-    ('x \\', [("IDENT", "x", 1, 1, 1), ("EOF", "", 1, 4, 0)], [("PAR001", "unexpected character '\\\\'", 1, 3, 1)]),
-    ('"a\\"\nb', [("IDENT", "b", 2, 1, 1), ("EOF", "", 2, 2, 0)], [("PAR001", "unterminated string literal", 1, 1, 4)]),
+    ('"ab\\', [("EOF", "", 1, 5, 0)], [("PAR001", "unterminated string literal", 1, 1)]),
+    ('x \\', [("IDENT", "x", 1, 1, 1), ("EOF", "", 1, 4, 0)], [("PAR001", "unexpected character '\\\\'", 1, 3)]),
+    ('"a\\"\nb', [("IDENT", "b", 2, 1, 1), ("EOF", "", 2, 2, 0)], [("PAR001", "unterminated string literal", 1, 1)]),
     ("a\r\n b\r\n", [("IDENT", "a", 1, 1, 1), ("IDENT", "b", 2, 2, 1), ("EOF", "", 3, 1, 0)], []),
     ("12ab 7", [("INT", "12", 1, 1, 2), ("IDENT", "ab", 1, 3, 2), ("INT", "7", 1, 6, 1), ("EOF", "", 1, 7, 0)], []),
     ("trust-patterns a-b- -c", [("IDENT", "trust-patterns", 1, 1, 14), ("IDENT", "a-b-", 1, 16, 4),
                                 ("IDENT", "c", 1, 22, 1), ("EOF", "", 1, 23, 0)],
-     [("PAR001", "unexpected character '-'", 1, 21, 1)]),
+     [("PAR001", "unexpected character '-'", 1, 21)]),
     ('"é²" é ²', [("STRING", "é²", 1, 1, 4), ("EOF", "", 1, 9, 0)],
-     [("PAR001", "unexpected character 'é'", 1, 6, 1), ("PAR001", "unexpected character '²'", 1, 8, 1)]),
+     [("PAR001", "unexpected character 'é'", 1, 6), ("PAR001", "unexpected character '²'", 1, 8)]),
     ("x @@@ y", [("IDENT", "x", 1, 1, 1), ("IDENT", "y", 1, 7, 1), ("EOF", "", 1, 8, 0)],
-     [("PAR001", "3 unexpected characters starting with '@'", 1, 3, 3)]),
+     [("PAR001", "3 unexpected characters starting with '@'", 1, 3)]),
     ("@a@", [("IDENT", "a", 1, 2, 1), ("EOF", "", 1, 4, 0)],
-     [("PAR001", "unexpected character '@'", 1, 1, 1), ("PAR001", "unexpected character '@'", 1, 3, 1)]),
+     [("PAR001", "unexpected character '@'", 1, 1), ("PAR001", "unexpected character '@'", 1, 3)]),
     ("a # c", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 6, 0)], []),
     ("a \t ", [("IDENT", "a", 1, 1, 1), ("EOF", "", 1, 5, 0)], []),
     ("{}()[]=,.", [("PUNCT", c, 1, i, 1) for i, c in enumerate("{}()[]=,.", 1)] + [("EOF", "", 1, 10, 0)], []),
@@ -345,7 +346,7 @@ STARTS = IDENT_START | set('0123456789 \t\r\n#"{}()[]=,.')  # of a token, a blan
 def reference_lex(text):
     """What _lex should give, read one character at a time: (token, offset)
     pairs ending with ("", len(text)), and the PAR001 errors as (message,
-    offset, length)."""
+    offset)."""
     tokens, errors, i, n = [], [], 0, len(text)
     while i < n:
         c, start = text[i], i
@@ -362,7 +363,7 @@ def reference_lex(text):
                 tokens.append((text[start:i + 1], start))
                 i += 1
             else:
-                errors.append(("unterminated string literal", start, i - start))
+                errors.append(("unterminated string literal", start))
         elif c in IDENT_START:
             while i < n and text[i] in NAME_CHARS:
                 i += 1
@@ -379,7 +380,7 @@ def reference_lex(text):
                 i += 1
             k = i - start
             msg = f"unexpected character {c!r}" if k == 1 else f"{k} unexpected characters starting with {c!r}"
-            errors.append((msg, start, k))
+            errors.append((msg, start))
     return tokens + [("", n)], errors
 
 
@@ -403,13 +404,13 @@ class TestLexProperties:
             toks, offsets, diags = lex_offsets(text)
             want_tokens, want_errors = reference_lex(text)
             assert list(zip(toks, offsets)) == want_tokens, (case, text)
-            assert [(d.code, d.message, d.span.line, d.span.column, d.span.length) for d in diags] == [
-                ("PAR001", msg, *line_and_column(text, o), k) for msg, o, k in want_errors], (case, text)
+            assert [(d.code, d.message, d.span.line, d.span.column) for d in diags] == [
+                ("PAR001", msg, *line_and_column(text, o)) for msg, o in want_errors], (case, text)
 
     @pytest.mark.parametrize("text, tokens, errors", [
-        ('"\\' * 100_000, 1, [("unterminated string literal", 0, 200_000)]),
-        ('x "' + "a" * 100_000, 2, [("unterminated string literal", 2, 100_001)]),
-        ("@" * 100_000 + " x", 2, [("100000 unexpected characters starting with '@'", 0, 100_000)]),
+        ('"\\' * 100_000, 1, [("unterminated string literal", 0)]),
+        ('x "' + "a" * 100_000, 2, [("unterminated string literal", 2)]),
+        ("@" * 100_000 + " x", 2, [("100000 unexpected characters starting with '@'", 0)]),
         ("# c\n" * 50_000 + "x", 2, []),
     ], ids=["lone-quote-backslash-runs", "unterminated-string", "bad-characters", "comment-lines"])
     def test_long_inputs_read_in_linear_time(self, text, tokens, errors):
@@ -417,7 +418,7 @@ class TestLexProperties:
         toks, _, diags = syntax._lex(text, "t")
         assert time.perf_counter() - t0 < 1
         assert len(toks) == tokens
-        assert [(d.message, d.span.column - 1, d.span.length) for d in diags] == errors
+        assert [(d.message, d.span.column - 1) for d in diags] == errors
 
 
 class TestEofColumn:
@@ -429,29 +430,28 @@ class TestEofColumn:
 
     def test_after_unterminated_string(self):
         out = syntax.parse('app "x"\nscreen S { TextView T = "abc', "t")
-        assert [(d.code, d.span.line, d.span.column, d.span.length) for d in out.diagnostics] == [
-            ("PAR001", 2, 25, 4), ("PAR002", 2, 29, 0), ("PAR002", 2, 29, 0)]
+        assert [(d.code, d.span.line, d.span.column) for d in out.diagnostics] == [
+            ("PAR001", 2, 25), ("PAR002", 2, 29), ("PAR002", 2, 29)]
         assert out.diagnostics[1].message == "expected a value, found end of input"
 
 
 def assert_positions(text, file="t"):
     """Parse text twice, and check every span of a record or a diagnostic
     against the reference tokenizer: its line and column are those of its
-    offset, counted a character at a time, and its length is its token's or
-    its lexer error's.  A span's index is its token's index."""
+    offset, counted a character at a time.  A span's index is its token's
+    index."""
     out, again = syntax.parse(text, file), syntax.parse(text, file)
     assert (out.model, out.diagnostics) == (again.model, again.diagnostics)
     tokens, errors = reference_lex(text)
     lexer = [d for d in out.diagnostics if d.code == "PAR001"]
-    assert [d.message for d in lexer] == [message for message, _, _ in errors]
-    placed = [(d.span, offset, length) for d, (_, offset, length) in zip(lexer, errors)]  # (span, offset, length)
+    assert [d.message for d in lexer] == [message for message, _ in errors]
+    placed = [(d.span, offset) for d, (_, offset) in zip(lexer, errors)]
     for span in [r.span for r in records(out.model) if "span" in r._fields] + [
             d.span for d in out.diagnostics if d.code != "PAR001"]:
-        token, offset = tokens[span.index]
-        placed.append((span, offset, len(token)))
+        placed.append((span, tokens[span.index][1]))
     assert placed
-    for span, offset, length in placed:
-        assert (span.file, span.line, span.column, span.length) == (file, *line_and_column(text, offset), length)
+    for span, offset in placed:
+        assert (span.file, span.line, span.column) == (file, *line_and_column(text, offset))
 
 
 class TestPositions:

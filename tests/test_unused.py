@@ -1,10 +1,12 @@
 """Nothing in the package exists only for tests: every top-level function and
 class of `src/sbc` is used by the package itself, and every other top-level
 assigned name (dunders aside) by the package or by the benchmark.  Every
-parameter of a function in `src/sbc` is read in its body.  And every name
-that a module of `src/sbc` or of `tests/` imports is used in it."""
+parameter of a function in `src/sbc` is read in its body.  Every field of a
+`NamedTuple` record is named in the package outside its declaration.  And
+every name that a module of `src/sbc` or of `tests/` imports is used in it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -14,6 +16,12 @@ ENTRY_POINTS = {("cli", "main")}  # pyproject's console script
 # Functions and classes that only the benchmark calls, each with its reason.
 BENCHMARK_ONLY = {
     ("infoflow", "closure"): "perfbench's tracer wraps it and reports its pairs until it moves to tests/",
+}
+# Record fields that no code of the package names, each with its reason.
+UNNAMED_FIELDS = {
+    ("interp", "Value", "taint"): "the plans read it by position, as v[1]",
+    ("interp", "Configuration", "sigma"): "step and the CLI's trace read it by unpacking",
+    ("infoflow", "ClosureRelation", "pairs"): "perfbench's tracer reads it",
 }
 
 
@@ -59,6 +67,33 @@ def test_every_definition_has_a_user_outside_tests():
             used |= _names(tree)  # the tracer names what it wraps in strings
             used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     assert [f"{m}.{name}" for m, name, _ in definitions if name not in used and (m, name) not in ENTRY_POINTS] == []
+
+
+def _named(tree) -> Counter:
+    """How often each attribute, keyword argument and string constant occurs in tree."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.arg if isinstance(n, ast.keyword) else n.value
+                   for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.keyword))
+                   or isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_every_record_field_is_named_outside_its_declaration():
+    # Name-based: a field that shares its name with another field or
+    # attribute, such as `.name`, passes whether or not it is read.  A
+    # property of its own class that reads it counts.
+    named, records = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        named += _named(tree)
+        records += [(path.stem, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                    and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in c.bases)]
+    assert records
+    unnamed = set()
+    for module, cls in records:
+        fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+        declared = sum(map(_named, fields), Counter())  # string annotations and defaults
+        unnamed |= {(module, cls.name, f.target.id) for f in fields if named[f.target.id] == declared[f.target.id]}
+    assert sorted(".".join(f) for f in unnamed - set(UNNAMED_FIELDS)) == []
+    assert unnamed >= set(UNNAMED_FIELDS), "an exemption that is no longer needed"
 
 
 def test_every_parameter_is_read():
